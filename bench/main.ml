@@ -448,10 +448,10 @@ let run_compare rest =
   and threshold = ref 30.0
   and report_only = ref false
   and explain = ref false
-  and current = ref "BENCH_pr9.json" in
+  and current = ref Lfrc_harness.Bench_compare.default_current in
   let usage () =
     prerr_endline
-      "usage: bench --compare BASELINE.json [--current FILE] [--threshold \
+      "usage: bench --compare [BASELINE.json] [--current FILE] [--threshold \
        PCT] [--report-only] [--explain]";
     exit 2
   in
@@ -478,13 +478,13 @@ let run_compare rest =
     | _ -> usage ()
   in
   go rest;
-  match !baseline with
-  | None -> usage ()
-  | Some baseline ->
-      if not (Sys.file_exists !current) then run_json !current;
-      exit
-        (compare_runs ~threshold:!threshold ~report_only:!report_only
-           ~explain:!explain ~current:!current ~baseline)
+  let baseline =
+    Option.value !baseline ~default:Lfrc_harness.Bench_compare.default_baseline
+  in
+  if not (Sys.file_exists !current) then run_json !current;
+  exit
+    (compare_runs ~threshold:!threshold ~report_only:!report_only
+       ~explain:!explain ~current:!current ~baseline)
 
 (* --- entry point --- *)
 
@@ -492,7 +492,7 @@ let () =
   let args = Array.to_list Sys.argv |> List.tl in
   match args with
   | [ "micro" ] -> run_micro ()
-  | [ "--json" ] -> run_json "BENCH_pr10.json"
+  | [ "--json" ] -> run_json Lfrc_harness.Bench_compare.default_current
   | [ "--json"; file ] -> run_json file
   | "--compare" :: rest -> run_compare rest
   | [] ->

@@ -1,5 +1,6 @@
 module Cell = Lfrc_simmem.Cell
 module Sched = Lfrc_sched.Sched
+module Owned = Lfrc_sched.Owned
 module Metrics = Lfrc_obs.Metrics
 module Tracer = Lfrc_obs.Tracer
 module Profile = Lfrc_obs.Profile
@@ -24,27 +25,25 @@ type counters = {
 
 type injector = { inject_cas : unit -> bool; inject_dcas : unit -> bool }
 
+(* One counter block per domain, written only by its owner with plain
+   stores (no lock, no atomic RMW) and summed by [counters]. Under the
+   simulator every thread runs on one domain and so shares one block,
+   which keeps the counts and the failure streaks exactly as one shared
+   counter would. A streak is the current run of consecutive failed
+   attempts; its maximum is the livelock signal the chaos watchdog
+   reports. *)
+let k_reads = 0 and k_writes = 1 and k_rmw = 2 and k_cas = 3
+let k_cas_fail = 4 and k_dcas = 5 and k_dcas_fail = 6
+let k_sp_cas = 7 and k_sp_dcas = 8
+let k_cas_streak = 9 and k_cas_streak_max = 10
+let k_dcas_streak = 11 and k_dcas_streak_max = 12
+let n_slots = 13
+
 type t = {
   kind : impl;
   stripes : Mutex.t array; (* used by Striped_lock only *)
   mutable injector : injector option;
-  c_reads : int Atomic.t;
-  c_writes : int Atomic.t;
-  c_rmw : int Atomic.t;
-  c_cas : int Atomic.t;
-  c_cas_fail : int Atomic.t;
-  c_dcas : int Atomic.t;
-  c_dcas_fail : int Atomic.t;
-  c_sp_cas : int Atomic.t;
-  c_sp_dcas : int Atomic.t;
-  (* Retry telemetry: longest run of consecutive failed attempts. Exact
-     under the simulator (single domain); approximate across real
-     domains. A growing streak with no intervening success is the
-     livelock signal the chaos watchdog reports. *)
-  cas_streak : int Atomic.t;
-  cas_streak_max : int Atomic.t;
-  dcas_streak : int Atomic.t;
-  dcas_streak_max : int Atomic.t;
+  blocks : int array Owned.t;
   mutable metrics : Metrics.t;
   mutable tracer : Tracer.t;
   mutable profile : Profile.t;
@@ -59,25 +58,17 @@ let create kind =
     kind;
     stripes = Array.init n_stripes (fun _ -> Mutex.create ());
     injector = None;
-    c_reads = Atomic.make 0;
-    c_writes = Atomic.make 0;
-    c_rmw = Atomic.make 0;
-    c_cas = Atomic.make 0;
-    c_cas_fail = Atomic.make 0;
-    c_dcas = Atomic.make 0;
-    c_dcas_fail = Atomic.make 0;
-    c_sp_cas = Atomic.make 0;
-    c_sp_dcas = Atomic.make 0;
-    cas_streak = Atomic.make 0;
-    cas_streak_max = Atomic.make 0;
-    dcas_streak = Atomic.make 0;
-    dcas_streak_max = Atomic.make 0;
+    blocks = Owned.create (fun () -> Array.make n_slots 0);
     metrics = Metrics.disabled;
     tracer = Tracer.disabled;
     profile = Profile.disabled;
     blame = Blame.disabled;
     san = Shadow.disabled;
   }
+
+let bump t k =
+  let b = Owned.get t.blocks (Sched.domain_id ()) in
+  b.(k) <- b.(k) + 1
 
 let set_injector t i = t.injector <- i
 
@@ -101,26 +92,50 @@ let impl_name t =
 
 let stripe t c = t.stripes.(Cell.id c land (n_stripes - 1))
 
-let with_stripe t c f =
+(* [f c a b] under [c]'s stripe. The stripe is released on the normal
+   and the exceptional path alike, and a closed [f] allocates nothing. *)
+let with_stripe t c f a b =
   let m = stripe t c in
   Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+  match f c a b with
+  | r ->
+      Mutex.unlock m;
+      r
+  | exception e ->
+      Mutex.unlock m;
+      raise e
 
-let with_two_stripes t c0 c1 f =
+(* Indivisible between yield points under the simulator: simulated
+   hardware DCAS. Under both stripes: the striped-lock DCAS. *)
+let dcas_words c0 c1 old0 old1 new0 new1 =
+  let ok = Cell.get c0 = old0 && Cell.get c1 = old1 in
+  if ok then begin
+    Cell.set c0 new0;
+    Cell.set c1 new1
+  end;
+  ok
+
+let unlock_two t lo hi =
+  if hi <> lo then Mutex.unlock t.stripes.(hi);
+  Mutex.unlock t.stripes.(lo)
+
+let with_two_stripes t c0 c1 old0 old1 new0 new1 =
   let i0 = Cell.id c0 land (n_stripes - 1)
   and i1 = Cell.id c1 land (n_stripes - 1) in
   let lo = min i0 i1 and hi = max i0 i1 in
   Mutex.lock t.stripes.(lo);
   if hi <> lo then Mutex.lock t.stripes.(hi);
-  Fun.protect
-    ~finally:(fun () ->
-      if hi <> lo then Mutex.unlock t.stripes.(hi);
-      Mutex.unlock t.stripes.(lo))
-    f
+  match dcas_words c0 c1 old0 old1 new0 new1 with
+  | ok ->
+      unlock_two t lo hi;
+      ok
+  | exception e ->
+      unlock_two t lo hi;
+      raise e
 
 let read t c =
   Sched.point ();
-  Atomic.incr t.c_reads;
+  bump t k_reads;
   Metrics.incr t.metrics "dcas.reads";
   let v =
     match t.kind with
@@ -132,11 +147,11 @@ let read t c =
 
 let write t c v =
   Sched.point ();
-  Atomic.incr t.c_writes;
+  bump t k_writes;
   Metrics.incr t.metrics "dcas.writes";
   (match t.kind with
   | Atomic_step -> Cell.set c v
-  | Striped_lock -> with_stripe t c (fun () -> Cell.set c v)
+  | Striped_lock -> with_stripe t c (fun c v () -> Cell.set c v) v ()
   | Software_mcas ->
       (* A blind write must still cooperate with in-flight descriptors. *)
       let rec go () = if not (Mcas.cas c (Mcas.read c) v) then go () in
@@ -144,27 +159,26 @@ let write t c v =
   Shadow.on_write t.san c v;
   Blame.stamp t.blame Blame.Write (Cell.id c)
 
-let bump_streak ~streak ~streak_max ok =
-  if ok then Atomic.set streak 0
+(* One attempt; a failure extends the current streak. *)
+let count t ~n ~fail ~streak ~top ok =
+  let b = Owned.get t.blocks (Sched.domain_id ()) in
+  b.(n) <- b.(n) + 1;
+  if ok then b.(streak) <- 0
   else begin
-    let s = 1 + Atomic.fetch_and_add streak 1 in
-    let rec raise_max () =
-      let m = Atomic.get streak_max in
-      if s > m && not (Atomic.compare_and_set streak_max m s) then raise_max ()
-    in
-    raise_max ()
+    b.(fail) <- b.(fail) + 1;
+    b.(streak) <- b.(streak) + 1;
+    b.(top) <- max b.(top) b.(streak)
   end
 
 let count_cas t ok =
-  Atomic.incr t.c_cas;
+  count t ~n:k_cas ~fail:k_cas_fail ~streak:k_cas_streak ~top:k_cas_streak_max
+    ok;
   Metrics.incr t.metrics "dcas.cas_attempts";
   if not ok then begin
-    Atomic.incr t.c_cas_fail;
     Metrics.incr t.metrics "dcas.cas_failures";
     Tracer.emit t.tracer Retry "cas";
     Profile.dcas_retry t.profile
   end;
-  bump_streak ~streak:t.cas_streak ~streak_max:t.cas_streak_max ok;
   ok
 
 (* A spurious failure reports false without comparing or writing anything —
@@ -173,7 +187,7 @@ let count_cas t ok =
 let spurious_cas t =
   match t.injector with
   | Some i when i.inject_cas () ->
-      Atomic.incr t.c_sp_cas;
+      bump t k_sp_cas;
       Metrics.incr t.metrics "dcas.spurious_cas";
       Tracer.emit t.tracer Fault "spurious-cas";
       ignore (count_cas t false);
@@ -183,7 +197,7 @@ let spurious_cas t =
 let spurious_dcas t =
   match t.injector with
   | Some i when i.inject_dcas () ->
-      Atomic.incr t.c_sp_dcas;
+      bump t k_sp_dcas;
       Metrics.incr t.metrics "dcas.spurious_dcas";
       Tracer.emit t.tracer Fault "spurious-dcas";
       true
@@ -199,7 +213,7 @@ let cas t c old_v new_v =
     let ok =
       match t.kind with
       | Atomic_step -> Cell.cas c old_v new_v
-      | Striped_lock -> with_stripe t c (fun () -> Cell.cas c old_v new_v)
+      | Striped_lock -> with_stripe t c Cell.cas old_v new_v
       | Software_mcas -> Mcas.cas c old_v new_v
     in
     Shadow.on_cas t.san c ~old_v ~new_v ~ok;
@@ -210,12 +224,13 @@ let cas t c old_v new_v =
 
 let fetch_add t c d =
   Sched.point ();
-  Atomic.incr t.c_rmw;
+  bump t k_rmw;
   Metrics.incr t.metrics "dcas.rmw";
   let v =
     match t.kind with
     | Atomic_step -> Cell.fetch_and_add c d
-    | Striped_lock -> with_stripe t c (fun () -> Cell.fetch_and_add c d)
+    | Striped_lock ->
+        with_stripe t c (fun c d () -> Cell.fetch_and_add c d) d ()
     | Software_mcas ->
         let rec go () =
           let v = Mcas.read c in
@@ -228,15 +243,14 @@ let fetch_add t c d =
   v
 
 let count_dcas t ok =
-  Atomic.incr t.c_dcas;
+  count t ~n:k_dcas ~fail:k_dcas_fail ~streak:k_dcas_streak
+    ~top:k_dcas_streak_max ok;
   Metrics.incr t.metrics "dcas.dcas_attempts";
   if not ok then begin
-    Atomic.incr t.c_dcas_fail;
     Metrics.incr t.metrics "dcas.dcas_failures";
     Tracer.emit t.tracer Retry "dcas";
     Profile.dcas_retry t.profile
   end;
-  bump_streak ~streak:t.dcas_streak ~streak_max:t.dcas_streak_max ok;
   ok
 
 let dcas t c0 c1 ~old0 ~old1 ~new0 ~new1 =
@@ -248,22 +262,8 @@ let dcas t c0 c1 ~old0 ~old1 ~new0 ~new1 =
   else begin
     let ok =
       match t.kind with
-      | Atomic_step ->
-          (* Indivisible between yield points: simulated hardware DCAS. *)
-          let ok = Cell.get c0 = old0 && Cell.get c1 = old1 in
-          if ok then begin
-            Cell.set c0 new0;
-            Cell.set c1 new1
-          end;
-          ok
-      | Striped_lock ->
-          with_two_stripes t c0 c1 (fun () ->
-              let ok = Cell.get c0 = old0 && Cell.get c1 = old1 in
-              if ok then begin
-                Cell.set c0 new0;
-                Cell.set c1 new1
-              end;
-              ok)
+      | Atomic_step -> dcas_words c0 c1 old0 old1 new0 new1
+      | Striped_lock -> with_two_stripes t c0 c1 old0 old1 new0 new1
       | Software_mcas -> Mcas.dcas c0 c1 old0 old1 new0 new1
     in
     Shadow.on_dcas t.san c0 c1 ~old0 ~old1 ~new0 ~new1 ~ok;
@@ -286,31 +286,21 @@ let dcas t c0 c1 ~old0 ~old1 ~new0 ~new1 =
   end
 
 let counters t =
+  let sum k = Owned.fold (fun n b -> n + b.(k)) t.blocks 0 in
+  let top k = Owned.fold (fun n b -> max n b.(k)) t.blocks 0 in
   {
-    reads = Atomic.get t.c_reads;
-    writes = Atomic.get t.c_writes;
-    rmw_ops = Atomic.get t.c_rmw;
-    cas_attempts = Atomic.get t.c_cas;
-    cas_failures = Atomic.get t.c_cas_fail;
-    dcas_attempts = Atomic.get t.c_dcas;
-    dcas_failures = Atomic.get t.c_dcas_fail;
-    spurious_cas = Atomic.get t.c_sp_cas;
-    spurious_dcas = Atomic.get t.c_sp_dcas;
-    max_cas_failure_streak = Atomic.get t.cas_streak_max;
-    max_dcas_failure_streak = Atomic.get t.dcas_streak_max;
+    reads = sum k_reads;
+    writes = sum k_writes;
+    rmw_ops = sum k_rmw;
+    cas_attempts = sum k_cas;
+    cas_failures = sum k_cas_fail;
+    dcas_attempts = sum k_dcas;
+    dcas_failures = sum k_dcas_fail;
+    spurious_cas = sum k_sp_cas;
+    spurious_dcas = sum k_sp_dcas;
+    max_cas_failure_streak = top k_cas_streak_max;
+    max_dcas_failure_streak = top k_dcas_streak_max;
   }
 
 let reset_counters t =
-  Atomic.set t.c_reads 0;
-  Atomic.set t.c_writes 0;
-  Atomic.set t.c_rmw 0;
-  Atomic.set t.c_cas 0;
-  Atomic.set t.c_cas_fail 0;
-  Atomic.set t.c_dcas 0;
-  Atomic.set t.c_dcas_fail 0;
-  Atomic.set t.c_sp_cas 0;
-  Atomic.set t.c_sp_dcas 0;
-  Atomic.set t.cas_streak 0;
-  Atomic.set t.cas_streak_max 0;
-  Atomic.set t.dcas_streak 0;
-  Atomic.set t.dcas_streak_max 0
+  Owned.fold (fun () b -> Array.fill b 0 n_slots 0) t.blocks ()

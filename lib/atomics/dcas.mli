@@ -12,7 +12,11 @@
     - [Striped_lock]: hashes the two cells onto a fixed array of mutexes
       acquired in cell-id order. Models an atomic hardware unit for real
       multi-domain runs; not lock-free, exactly as real [malloc] is not
-      (the paper's footnote 1 draws the same boundary).
+      (the paper's footnote 1 draws the same boundary). A stripe is
+      released on every exit, including a {!Lfrc_simmem.Cell.Corruption}
+      raised by a write to freed memory. With observability detached, the
+      stripes are the only shared state an operation writes besides its
+      target cells (counters are per domain, see {!counters}).
     - [Software_mcas]: the lock-free {!Mcas} substrate. Lock-free, but
       writes descriptors into target cells and therefore must not be used
       under LFRC itself (see {!Mcas}); provided for the E5 ablation.
@@ -61,16 +65,27 @@ type counters = {
   spurious_dcas : int;
       (** injected DCAS failures (counted in [dcas_failures]) *)
   max_cas_failure_streak : int;
-      (** longest run of consecutive failed CAS attempts — retry/livelock
-          telemetry; exact under the simulator *)
+      (** longest run of consecutive failed CAS attempts on one domain —
+          retry/livelock telemetry (see {!counters}) *)
   max_dcas_failure_streak : int;
 }
 
 val counters : t -> counters
-(** Operation counters, exact under the simulator (single domain); used as
-    the "simulated work" metric by the experiment harness. *)
+(** Operation counters, used as the "simulated work" metric by the
+    experiment harness. Each domain counts into its own block with plain
+    stores — no lock and no atomic operation per primitive — and this sums
+    the blocks. The sums are exact at quiescence: under the simulator (all
+    simulated threads share one domain, hence one block) and on real
+    domains once the counting domains have been joined or have otherwise
+    synchronised with the reader. Read while other domains run, they may
+    lag. The two streak maxima are per-domain: the longest run of
+    consecutive failures on any one domain, the maximum over blocks. A
+    domain that takes over an exited domain's identity
+    ({!Lfrc_sched.Sched.domain_id}) continues its block. *)
 
 val reset_counters : t -> unit
+(** Zero every domain's block, streaks included. Quiescent use, like
+    {!counters}. *)
 
 (** {2 Fault injection}
 

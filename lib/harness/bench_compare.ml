@@ -19,6 +19,9 @@
 
 module J = Lfrc_util.Json
 
+let default_current = "BENCH_current.json"
+let default_baseline = "BENCH_pr10.json"
+
 type row = {
   name : string;
   base_ops : float option;

@@ -17,6 +17,17 @@
       instrument does not force a baseline regeneration in the same
       commit. *)
 
+val default_current : string
+(** ["BENCH_current.json"]: where [bench --json] writes a fresh run when
+    given no file, and what [bench --compare] reads as the current run
+    unless [--current] names another. Not committed. *)
+
+val default_baseline : string
+(** The newest committed baseline, ["BENCH_pr10.json"]: what
+    [bench --compare] diffs against when given no baseline. Never equal
+    to {!default_current}, so a fresh run cannot overwrite it and the
+    gate never compares a baseline with itself. *)
+
 type row = {
   name : string;
   base_ops : float option;

@@ -27,28 +27,36 @@ type frame = {
   fr_take : unit -> int list;
 }
 
+(* A thread's in-flight references that the heap cannot see, published
+   for the post-mortem fault auditor. Deliberately NOT heap frames: heap
+   frames feed the tracing collectors and invariant checkers, whose
+   semantics must not change under LFRC.
+   - [destroying]: objects a destroy is in the middle of tearing down.
+     The reference being dropped is held only in OCaml locals, so a crash
+     of the destroying thread would otherwise leave it unaccounted.
+   - [publishing]: speculative count increments (address, weight) not yet
+     justified by a heap-visible pointer. store/cas/dcas raise the new
+     pointer's count before the publishing CAS, and a crash in between
+     leaves an increment no destroy will ever compensate.
+   One record per thread, so recovery can adopt exactly a crashed
+   thread's entries. Only the owner writes its record, without a lock:
+   the LFRC hot path takes no shared lock for this bookkeeping. Readers
+   (the auditor, recovery) look only at quiescence or under the
+   simulator. *)
+type owner = {
+  mutable destroying : int list;
+  mutable publishing : (int * int) list;
+}
+
 type t = {
   env_heap : Lfrc_simmem.Heap.t;
   env_dcas : Lfrc_atomics.Dcas.t;
   env_policy : policy;
   pending : int Queue.t;
   pending_lock : Mutex.t;
-  (* Objects a destroy is in the middle of tearing down, keyed by simulated
-     thread id. While a destroy runs, the reference being dropped is held
-     only in OCaml locals, invisible to the heap; this registry republishes
-     it so the post-mortem fault auditor can account for it if the
-     destroying thread crashes. Deliberately NOT a heap frame: heap frames
-     feed the tracing collectors and invariant checkers, whose semantics
-     must not change under LFRC. *)
-  destroying : (int, int list ref) Hashtbl.t;
-  destroying_lock : Mutex.t;
-  (* Speculative count increments not yet justified by a heap-visible
-     pointer: store/cas/dcas raise the new pointer's count before the
-     publishing CAS, and a crash in between leaves a +1 no destroy will
-     ever compensate. Keyed by thread id so recovery can compensate a
-     crashed thread's pending publications. *)
-  publishing : (int, (int * int) list ref) Hashtbl.t;
-  publishing_lock : Mutex.t;
+  (* Per-thread crash bookkeeping (see [owner]), one record per thread
+     identity, written only by its owner. *)
+  owners : owner Lfrc_sched.Owned.t;
   (* Thread-local pointer variables published for the same auditor (their
      heap-frame analogue, kept off the heap for the same reason). Each
      frame records its owning thread and a [take] closure that surrenders
@@ -62,11 +70,12 @@ type t = {
      library needs no dependency on faults and vice versa. *)
   mutable recover_hooks : (crashed:int list -> int) list;
   (* Deferred-rc coalescing (PPoPP-2022-style batched count updates):
-     per-thread buffers of parked ±1 count adjustments, keyed by thread id
-     then by address, netted in place. The buffers live in the environment
-     — not in thread-locals — so a crashed thread's parked deltas survive
-     it and a later flush still applies them; until then the parked
-     addresses are republished through [anchors] for the fault auditor. *)
+     per-thread buffers of parked ±1 count adjustments, keyed by thread
+     identity ([Sched.self]) then by address, netted in place. The buffers
+     live in the environment — not in thread-locals — so a crashed
+     thread's parked deltas survive it and a later flush still applies
+     them; until then the parked addresses are republished through
+     [anchors] for the fault auditor. *)
   env_rc_epoch : int;
   rc_buffers : (int, (int, int) Hashtbl.t) Hashtbl.t;
   rc_lock : Mutex.t;
@@ -161,10 +170,8 @@ let create ?dcas_impl ?(policy = Iterative) ?(rc_mode = Eager)
     env_policy = policy;
     pending = Queue.create ();
     pending_lock = Mutex.create ();
-    destroying = Hashtbl.create 8;
-    destroying_lock = Mutex.create ();
-    publishing = Hashtbl.create 8;
-    publishing_lock = Mutex.create ();
+    owners =
+      Lfrc_sched.Owned.create (fun () -> { destroying = []; publishing = [] });
     local_frames = [];
     local_frame_ctr = 0;
     local_frames_lock = Mutex.create ();
@@ -252,7 +259,7 @@ let wf_on t = t.env_wf_weight > 0
 let wf_weight t = t.env_wf_weight
 
 let rc_park t ~addr ~delta =
-  let tid = Lfrc_sched.Sched.tid () in
+  let tid = Lfrc_sched.Sched.self () in
   Mutex.lock t.rc_lock;
   let buf =
     match Hashtbl.find_opt t.rc_buffers tid with
@@ -319,7 +326,7 @@ let rc_try_begin_flush t =
   let won = not t.rc_in_flush in
   if won then begin
     t.rc_in_flush <- true;
-    t.rc_flush_tid <- Lfrc_sched.Sched.tid ()
+    t.rc_flush_tid <- Lfrc_sched.Sched.self ()
   end;
   Mutex.unlock t.rc_lock;
   won
@@ -479,7 +486,7 @@ let wf_pool_of t tid =
       p
 
 let wf_pool_add t ~addr ~w ~n =
-  let tid = Lfrc_sched.Sched.tid () in
+  let tid = Lfrc_sched.Sched.self () in
   Mutex.lock t.wf_lock;
   let pool = wf_pool_of t tid in
   (match Hashtbl.find_opt pool addr with
@@ -488,7 +495,7 @@ let wf_pool_add t ~addr ~w ~n =
   Mutex.unlock t.wf_lock
 
 let wf_pool_try_share t ~addr =
-  let tid = Lfrc_sched.Sched.tid () in
+  let tid = Lfrc_sched.Sched.self () in
   Mutex.lock t.wf_lock;
   let ok =
     match Hashtbl.find_opt (wf_pool_of t tid) addr with
@@ -501,7 +508,7 @@ let wf_pool_try_share t ~addr =
   ok
 
 let wf_pool_try_drop_shared t ~addr =
-  let tid = Lfrc_sched.Sched.tid () in
+  let tid = Lfrc_sched.Sched.self () in
   Mutex.lock t.wf_lock;
   let ok =
     match Hashtbl.find_opt (wf_pool_of t tid) addr with
@@ -514,7 +521,7 @@ let wf_pool_try_drop_shared t ~addr =
   ok
 
 let wf_pool_weight t ~addr =
-  let tid = Lfrc_sched.Sched.tid () in
+  let tid = Lfrc_sched.Sched.self () in
   Mutex.lock t.wf_lock;
   let w =
     match Hashtbl.find_opt (wf_pool_of t tid) addr with
@@ -525,13 +532,13 @@ let wf_pool_weight t ~addr =
   w
 
 let wf_pool_remove t ~addr =
-  let tid = Lfrc_sched.Sched.tid () in
+  let tid = Lfrc_sched.Sched.self () in
   Mutex.lock t.wf_lock;
   Hashtbl.remove (wf_pool_of t tid) addr;
   Mutex.unlock t.wf_lock
 
 let wf_pool_give t ~addr ~w =
-  let tid = Lfrc_sched.Sched.tid () in
+  let tid = Lfrc_sched.Sched.self () in
   Mutex.lock t.wf_lock;
   let ok =
     match Hashtbl.find_opt (wf_pool_of t tid) addr with
@@ -544,7 +551,7 @@ let wf_pool_give t ~addr ~w =
   ok
 
 let wf_pool_take_for_transfer t ~addr =
-  let tid = Lfrc_sched.Sched.tid () in
+  let tid = Lfrc_sched.Sched.self () in
   Mutex.lock t.wf_lock;
   let pool = wf_pool_of t tid in
   let w =
@@ -618,7 +625,7 @@ let wf_pooled t =
   addrs
 
 let wf_adopt_pools t ~tids =
-  let me = Lfrc_sched.Sched.tid () in
+  let me = Lfrc_sched.Sched.self () in
   Mutex.lock t.wf_lock;
   let mine = wf_pool_of t me in
   let merged = ref 0 in
@@ -640,102 +647,71 @@ let wf_adopt_pools t ~tids =
   Mutex.unlock t.wf_lock;
   !merged
 
+let owner t = Lfrc_sched.Owned.get t.owners (Lfrc_sched.Sched.self ())
+
 let begin_destroy t p =
-  let tid = Lfrc_sched.Sched.tid () in
-  Mutex.lock t.destroying_lock;
-  (match Hashtbl.find_opt t.destroying tid with
-  | Some l -> l := p :: !l
-  | None -> Hashtbl.add t.destroying tid (ref [ p ]));
-  Mutex.unlock t.destroying_lock
+  let o = owner t in
+  o.destroying <- p :: o.destroying
+
+let rec drop p = function
+  | [] -> []
+  | x :: rest -> if x = p then rest else x :: drop p rest
 
 let end_destroy t p =
-  let tid = Lfrc_sched.Sched.tid () in
-  Mutex.lock t.destroying_lock;
-  (match Hashtbl.find_opt t.destroying tid with
-  | Some l ->
-      let rec remove = function
-        | [] -> []
-        | x :: rest -> if x = p then rest else x :: remove rest
-      in
-      l := remove !l
-  | None -> ());
-  Mutex.unlock t.destroying_lock
+  let o = owner t in
+  o.destroying <- drop p o.destroying
 
 let destroying_now t =
-  Mutex.lock t.destroying_lock;
-  let ds = Hashtbl.fold (fun _ l acc -> !l @ acc) t.destroying [] in
-  Mutex.unlock t.destroying_lock;
-  ds
+  Lfrc_sched.Owned.fold (fun acc o -> o.destroying @ acc) t.owners []
 
-(* Surrender the destroy-registry entries of crashed threads: each entry is
-   one distinct committed-but-unfinished drop (duplicates are multiple
-   pending drops — do NOT dedupe). *)
+(* Surrender the registry entries of crashed threads, clearing them. *)
+let adopt t ~tids take =
+  List.fold_left
+    (fun out tid ->
+      match Lfrc_sched.Owned.find t.owners tid with
+      | Some o -> take o @ out
+      | None -> out)
+    [] tids
+
+(* Each destroy entry is one distinct committed-but-unfinished drop
+   (duplicates are multiple pending drops — do NOT dedupe). *)
 let adopt_destroying t ~tids =
-  Mutex.lock t.destroying_lock;
-  let out = ref [] in
-  List.iter
-    (fun tid ->
-      match Hashtbl.find_opt t.destroying tid with
-      | Some l ->
-          out := !l @ !out;
-          Hashtbl.remove t.destroying tid
-      | None -> ())
-    tids;
-  Mutex.unlock t.destroying_lock;
-  !out
+  adopt t ~tids (fun o ->
+      let l = o.destroying in
+      o.destroying <- [];
+      l)
 
 let begin_publish ?(weight = 1) t p =
   if p <> Lfrc_simmem.Heap.null then begin
-    let tid = Lfrc_sched.Sched.tid () in
-    Mutex.lock t.publishing_lock;
-    (match Hashtbl.find_opt t.publishing tid with
-    | Some l -> l := (p, weight) :: !l
-    | None -> Hashtbl.add t.publishing tid (ref [ (p, weight) ]));
-    Mutex.unlock t.publishing_lock
+    let o = owner t in
+    o.publishing <- (p, weight) :: o.publishing
   end
+
+let rec drop_pub p = function
+  | [] -> []
+  | ((x, _) as e) :: rest -> if x = p then rest else e :: drop_pub p rest
 
 let end_publish t p =
   if p <> Lfrc_simmem.Heap.null then begin
-    let tid = Lfrc_sched.Sched.tid () in
-    Mutex.lock t.publishing_lock;
-    (match Hashtbl.find_opt t.publishing tid with
-    | Some l ->
-        let rec remove = function
-          | [] -> []
-          | (x, _) :: rest when x = p -> rest
-          | x :: rest -> x :: remove rest
-        in
-        l := remove !l
-    | None -> ());
-    Mutex.unlock t.publishing_lock
+    let o = owner t in
+    o.publishing <- drop_pub p o.publishing
   end
 
 let publishing_now t =
-  Mutex.lock t.publishing_lock;
-  let ps =
-    Hashtbl.fold (fun _ l acc -> List.map fst !l @ acc) t.publishing []
-  in
-  Mutex.unlock t.publishing_lock;
-  ps
+  Lfrc_sched.Owned.fold
+    (fun acc o -> List.map fst o.publishing @ acc)
+    t.owners []
 
 let adopt_publications t ~tids =
-  Mutex.lock t.publishing_lock;
-  let out = ref [] in
-  List.iter
-    (fun tid ->
-      match Hashtbl.find_opt t.publishing tid with
-      | Some l ->
-          out := !l @ !out;
-          Hashtbl.remove t.publishing tid
-      | None -> ())
-    tids;
-  Mutex.unlock t.publishing_lock;
-  !out
+  adopt t ~tids (fun o ->
+      let l = o.publishing in
+      o.publishing <- [];
+      l)
 
 type local_frame = int
 
 let register_locals t ~view ~take =
-  let tid = Lfrc_sched.Sched.tid () in
+  let tid = Lfrc_sched.Sched.self () in
   Mutex.lock t.local_frames_lock;
   t.local_frame_ctr <- t.local_frame_ctr + 1;
   let id = t.local_frame_ctr in

@@ -324,9 +324,9 @@ val deferred_pending : t -> int
     From the moment a destroy commits to dropping a reference until the
     object is freed (or parked in the deferred queue), that reference is
     held only in the destroying thread's OCaml locals — invisible to the
-    heap. The destroy registry republishes such objects (keyed by
-    simulated thread id), and {!register_locals} does the same for a
-    thread's local pointer variables, so the post-mortem fault auditor can
+    heap. The destroy registry republishes such objects (per thread), and
+    {!register_locals} does the same for a thread's local pointer
+    variables, so the post-mortem fault auditor can
     attribute a crashed thread's leaks to its lost references instead of
     flagging them as unaccounted.
 
@@ -335,18 +335,28 @@ val deferred_pending : t -> int
     under LFRC (a dead thread's stack is gone in the real world, and a
     counted local mid-ownership-transfer is not an extra reference).
     {!Lfrc}'s destroy paths and {!Lfrc_ops} maintain these registries;
-    user code never needs to. *)
+    user code never needs to.
+
+    The destroy and publish registries are owner-local: one record per
+    thread identity ({!Lfrc_sched.Sched.self}), found without a lock or
+    an allocation and written only by its owner, so the eager hot path
+    takes no shared lock for them. The readers — {!destroying_now},
+    {!publishing_now}, {!anchors} and the [adopt_*] functions — take no
+    lock either, and see a consistent state only under the simulator
+    (threads interleave at yield points, and none lies inside these
+    calls) or at quiescence (every other domain joined or stopped). *)
 
 val begin_destroy : t -> int -> unit
-(** Record that the current simulated thread holds an unpublished
-    reference to this object while tearing it down. *)
+(** Record, in the calling thread's own registry, that it holds an
+    unpublished reference to this object while tearing it down. *)
 
 val end_destroy : t -> int -> unit
 (** The object has been freed (or handed to the deferred queue); drop it
     from the current thread's registry entry. *)
 
 val destroying_now : t -> int list
-(** All registered in-flight destroys, across threads (auditing aid). *)
+(** All registered in-flight destroys, across threads (auditing aid;
+    quiescent or simulated use). *)
 
 val adopt_destroying : t -> tids:int list -> int list
 (** Surrender and clear the destroy-registry entries of the given
@@ -365,7 +375,8 @@ val end_publish : t -> int -> unit
     is about to be registered; drop one occurrence. No-op on null. *)
 
 val publishing_now : t -> int list
-(** All pending publications, across threads (auditing aid). *)
+(** All pending publications, across threads (auditing aid; quiescent or
+    simulated use). *)
 
 val adopt_publications : t -> tids:int list -> (int * int) list
 (** Surrender and clear the pending publications of the given (crashed)

@@ -60,6 +60,41 @@ let current_sched : sched option ref = ref None
 
 let active () = !current_sched <> None
 let tid () = match !current_sched with None -> 0 | Some s -> s.current
+
+(* Real domains draw identities from 64 upward, clear of the scheduler's
+   0..61 (see [add_thread]). An exiting domain hands its identity back, so
+   tables indexed by identity stay as small as the number of live
+   domains. *)
+let id_lock = Mutex.create ()
+let free_ids = ref []
+let next_id = ref 64
+
+let id_key =
+  Domain.DLS.new_key (fun () ->
+      let id =
+        Mutex.protect id_lock (fun () ->
+            match !free_ids with
+            | id :: rest ->
+                free_ids := rest;
+                id
+            | [] ->
+                let id = !next_id in
+                next_id := id + 1;
+                id)
+      in
+      Domain.at_exit (fun () ->
+          Mutex.protect id_lock (fun () -> free_ids := id :: !free_ids));
+      id)
+
+let domain_id () = Domain.DLS.get id_key
+
+(* [current] is -1 between steps, e.g. while [cleanup] unwinds fibers;
+   code running then belongs to no simulated thread. *)
+let self () =
+  match !current_sched with
+  | Some s when s.current >= 0 -> s.current
+  | _ -> domain_id ()
+
 let steps_so_far () = match !current_sched with None -> 0 | Some s -> s.steps
 
 let name_of tid =

@@ -85,6 +85,16 @@ val active : unit -> bool
 val tid : unit -> int
 (** Current simulated thread id; 0 outside a simulation. *)
 
+val self : unit -> int
+(** The calling thread's identity, the key of per-thread state: the
+    simulated thread id (0..61) inside a simulation, {!domain_id}
+    outside one. Unlike {!tid}, no two live domains share it. *)
+
+val domain_id : unit -> int
+(** The calling domain's identity, [>= 64]: unique among live domains and
+    reused after a domain exits. Every simulated thread of one run shares
+    its domain's id. The key of per-domain state. *)
+
 val steps_so_far : unit -> int
 (** Scheduling decisions taken so far in the current run; usable as a
     simulated clock by harness code. 0 outside a simulation. *)

@@ -102,6 +102,30 @@ let test_counters () =
   Dcas.reset_counters d;
   checki "reset" 0 (Dcas.counters d).Dcas.reads
 
+(* A [Cell.Corruption] raised while a striped-lock op holds its stripe(s)
+   must release them: the next op on the same stripe would otherwise
+   block forever (OCaml's error-checking mutex turns that relock into a
+   [Sys_error], which fails this test instead of hanging it). *)
+let test_stripe_released_on_corruption () =
+  let d = Dcas.create Dcas.Striped_lock in
+  let c0 = Cell.make 0 and c1 = Cell.make 0 in
+  let corrupts name op =
+    Cell.freeze c0;
+    (match op () with
+    | _ -> Alcotest.failf "%s on a frozen cell must raise" name
+    | exception Cell.Corruption _ -> ());
+    Cell.thaw c0 0;
+    ignore (op ())
+  in
+  corrupts "write" (fun () -> Dcas.write d c0 1);
+  corrupts "cas" (fun () -> ignore (Dcas.cas d c0 (Cell.get c0) 2));
+  corrupts "fetch-add" (fun () -> ignore (Dcas.fetch_add d c0 1));
+  corrupts "dcas" (fun () ->
+      ignore
+        (Dcas.dcas d c0 c1 ~old0:(Cell.get c0) ~old1:(Cell.get c1) ~new0:3
+           ~new1:4));
+  checki "the last dcas landed" 3 (Dcas.read d c0)
+
 (* --- MCAS specifics --- *)
 
 let test_mcas_rejects_same_cell () =
@@ -383,6 +407,8 @@ let () =
           Alcotest.test_case "no-op dcas" `Quick test_dcas_same_values;
           Alcotest.test_case "negative values" `Quick test_dcas_negative_values;
           Alcotest.test_case "counters" `Quick test_counters;
+          Alcotest.test_case "stripe released on corruption" `Quick
+            test_stripe_released_on_corruption;
         ] );
       ( "mcas",
         [

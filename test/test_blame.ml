@@ -299,6 +299,24 @@ let test_compare_counter_and_ops_policy () =
      let rec go i = i + la <= ls && (String.sub e i la = a || go (i + 1)) in
      go 0)
 
+(* The CLI's defaults: a fresh run lands in an uncommitted file, and the
+   gate reads it against the newest committed baseline. Were the two the
+   same file, the gate would compare the baseline with itself (or a fresh
+   run would overwrite it) and pass vacuously. *)
+let test_compare_defaults_distinct () =
+  checkb "fresh run is not the baseline" true
+    (Bc.default_current <> Bc.default_baseline);
+  let pr_number f = Scanf.sscanf_opt f "BENCH_pr%d.json%!" Fun.id in
+  checkb "fresh run is not a committed baseline" true
+    (pr_number Bc.default_current = None);
+  let committed =
+    Sys.readdir ".." |> Array.to_list |> List.filter_map pr_number
+  in
+  checkb "baselines are visible to the test" true (committed <> []);
+  checkb "default baseline is the newest committed one" true
+    (pr_number Bc.default_baseline
+    = Some (List.fold_left max min_int committed))
+
 let test_compare_vanished_counter_is_zero () =
   (* Registries only serialize non-zero series, so a mode that newly
      reports lfrc.rc_retry = 0 simply omits the key. The diff must read
@@ -404,6 +422,8 @@ let () =
             test_compare_counter_and_ops_policy;
           Alcotest.test_case "vanished counter compares as 0" `Quick
             test_compare_vanished_counter_is_zero;
+          Alcotest.test_case "defaults never the same file" `Quick
+            test_compare_defaults_distinct;
         ] );
       ( "tracer-meta",
         [

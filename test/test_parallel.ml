@@ -4,7 +4,10 @@
    interleave preemptively, exercising the real atomics.
 
    Each test checks value conservation and, for LFRC structures, that
-   quiescent teardown leaves an empty heap with exact counts. *)
+   quiescent teardown leaves an empty heap with exact counts. The
+   per-thread crash registries and the substrate's per-domain counters
+   are written by their owners without a lock; the tests below check they
+   come out empty and exact once the domains are joined. *)
 
 module Heap = Lfrc_simmem.Heap
 module Env = Lfrc_core.Env
@@ -13,10 +16,13 @@ module Report = Lfrc_simmem.Report
 module Treiber = Lfrc_structures.Treiber.Make (Lfrc_core.Lfrc_ops)
 module Msq = Lfrc_structures.Msqueue.Make (Lfrc_core.Lfrc_ops)
 module Fixed = Lfrc_structures.Snark_fixed.Make (Lfrc_core.Lfrc_ops)
+module Skip = Lfrc_structures.Skiplist.Make (Lfrc_core.Lfrc_ops)
+module Dcas = Lfrc_atomics.Dcas
+module Cell = Lfrc_simmem.Cell
 module Locked = Lfrc_structures.Locked_deque
 
 let checki = Alcotest.(check int)
-let _checkb = Alcotest.(check bool)
+let checkb = Alcotest.(check bool)
 
 let n_domains = 3
 let ops_per_domain = 2_000
@@ -26,6 +32,15 @@ let fresh name =
   (Env.create ~dcas_impl:Lfrc_atomics.Dcas.Striped_lock heap, heap)
 
 let sum_range a b = (a + b) * (b - a + 1) / 2
+
+(* After the domains are joined: no destroy or publication left in any
+   thread's registry, and every count exact. *)
+let check_quiescent name env heap =
+  checki (name ^ ": no destroy in flight") 0
+    (List.length (Env.destroying_now env));
+  checki (name ^ ": no publication in flight") 0
+    (List.length (Env.publishing_now env));
+  checki (name ^ ": counts exact") 0 (List.length (Report.check_rc_exact heap))
 
 (* Each domain pushes a disjoint range and pops whatever it can; after
    joining, drain the rest: pushed sum must equal popped sum. *)
@@ -64,6 +79,7 @@ let test_treiber_domains () =
     |> List.fold_left ( + ) 0
   in
   checki "conservation" expected (Atomic.get popped);
+  check_quiescent "treiber" env heap;
   Treiber.destroy s;
   Report.assert_no_leaks heap;
   checki "counts exact at quiescence" 0 (List.length (Report.check_rc_exact heap))
@@ -118,8 +134,95 @@ let test_msqueue_domains () =
   in
   checki "conservation" expected (Atomic.get popped);
   checki "per-producer FIFO held" 1 (Atomic.get per_thread_order_ok);
+  check_quiescent "msqueue" env heap;
   Msq.destroy q;
   Report.assert_no_leaks heap
+
+(* Each domain inserts and removes keys of its own residue class while
+   probing every key; the final set must be exactly the union of the
+   domains' own models. *)
+let test_skiplist_domains () =
+  let env, heap = fresh "par-skip" in
+  let s = Skip.create env in
+  let keys = 256 in
+  let worker d () =
+    let h = Skip.register ~seed:(d + 1) s in
+    let rng = Lfrc_util.Rng.create (d * 6007) in
+    let mine = Hashtbl.create 64 in
+    for _ = 1 to ops_per_domain do
+      let k = Lfrc_util.Rng.int rng keys in
+      if k mod n_domains <> d then ignore (Skip.contains h k)
+      else if Lfrc_util.Rng.int rng 2 = 0 then begin
+        if Skip.insert h k <> not (Hashtbl.mem mine k) then
+          failwith "insert disagrees with the model";
+        Hashtbl.replace mine k ()
+      end
+      else begin
+        if Skip.remove h k <> Hashtbl.mem mine k then
+          failwith "remove disagrees with the model";
+        Hashtbl.remove mine k
+      end
+    done;
+    Skip.unregister h;
+    Hashtbl.fold (fun k () acc -> k :: acc) mine []
+  in
+  let domains = List.init n_domains (fun d -> Domain.spawn (worker d)) in
+  let expected = List.concat_map Domain.join domains |> List.sort compare in
+  let h0 = Skip.register s in
+  Alcotest.(check (list int)) "set = union of models" expected (Skip.to_list h0);
+  Skip.unregister h0;
+  check_quiescent "skiplist" env heap;
+  Skip.destroy s;
+  Report.assert_no_leaks heap
+
+(* Per-domain counter blocks: exact sums after join, and a reset clears
+   every domain's block, not just the caller's. *)
+let test_dcas_counters_domains () =
+  let d = Dcas.create Dcas.Striped_lock in
+  let c = Cell.make 0 in
+  let n = 10_000 in
+  let finished = Atomic.make 0 in
+  let worker () =
+    for _ = 1 to n do
+      ignore (Dcas.read d c)
+    done;
+    ignore (Dcas.fetch_add d c 1);
+    (* two failed CASes in a row: a streak of 2 on this domain *)
+    ignore (Dcas.cas d c (-1) 0);
+    ignore (Dcas.cas d c (-1) 0);
+    (* Stay alive until all three are done, so each keeps its own
+       identity and block (an exited domain's identity, and with it its
+       block, passes to the next domain). *)
+    Atomic.incr finished;
+    while Atomic.get finished < n_domains do
+      Domain.cpu_relax ()
+    done
+  in
+  List.init n_domains (fun _ -> Domain.spawn worker) |> List.iter Domain.join;
+  let k = Dcas.counters d in
+  checki "reads" (n_domains * n) k.Dcas.reads;
+  checki "fetch-adds" n_domains k.Dcas.rmw_ops;
+  checki "cas attempts" (2 * n_domains) k.Dcas.cas_attempts;
+  checki "cas failures" (2 * n_domains) k.Dcas.cas_failures;
+  checki "streak max is per domain" 2 k.Dcas.max_cas_failure_streak;
+  checki "the cell saw every add" n_domains (Dcas.read d c);
+  Dcas.reset_counters d;
+  let k = Dcas.counters d in
+  checkb "reset zeroes every domain's block" true
+    (k
+    = {
+        Dcas.reads = 0;
+        writes = 0;
+        rmw_ops = 0;
+        cas_attempts = 0;
+        cas_failures = 0;
+        dcas_attempts = 0;
+        dcas_failures = 0;
+        spurious_cas = 0;
+        spurious_dcas = 0;
+        max_cas_failure_streak = 0;
+        max_dcas_failure_streak = 0;
+      })
 
 let deque_conservation (module D : Lfrc_structures.Deque_intf.DEQUE) name
     ~leak_check =
@@ -213,5 +316,8 @@ let () =
           Alcotest.test_case "fixed snark deque" `Slow test_fixed_snark_domains;
           Alcotest.test_case "locked deque" `Slow test_locked_deque_domains;
           Alcotest.test_case "raw lfrc ops" `Slow test_lfrc_ops_domains;
+          Alcotest.test_case "skip list" `Slow test_skiplist_domains;
+          Alcotest.test_case "dcas counters per domain" `Slow
+            test_dcas_counters_domains;
         ] );
     ]

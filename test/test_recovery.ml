@@ -204,10 +204,10 @@ let test_crashed_flusher_restaged () =
   (* a LIVE flusher's staging is left alone *)
   checki "live flusher keeps its staging" 0
     (Env.rc_recover_flush env ~crashed:[ 5 ]);
-  (* the flag owner (tid 0 outside a simulation) crashing re-parks both
-     entries and clears the flag *)
+  (* the flag owner (this domain's identity outside a simulation)
+     crashing re-parks both entries and clears the flag *)
   checki "two stranded entries re-parked" 2
-    (Env.rc_recover_flush env ~crashed:[ 0 ]);
+    (Env.rc_recover_flush env ~crashed:[ Lfrc_sched.Sched.self () ]);
   checkb "parked again under the dead owner" true
     (List.sort compare (Env.rc_parked env) = [ 7; 9 ]);
   checkb "flush flag reusable" true (Env.rc_try_begin_flush env);

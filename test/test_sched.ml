@@ -59,6 +59,50 @@ let test_tid_inside () =
          ignore (Sched.spawn (fun () -> seen := Sched.tid () :: !seen))));
   Alcotest.(check (list int)) "tids" [ 2; 1 ] (List.sort compare !seen |> List.rev)
 
+(* [Sched.self] is the key of per-thread state: distinct on live domains
+   (where [Sched.tid] is 0 everywhere), clear of the scheduler's 0..61,
+   and the scheduler tid inside a run, whose threads all share their host
+   domain's [domain_id]. *)
+let test_self_identity () =
+  let main = Sched.self () in
+  checki "a domain's self is its domain id" (Sched.domain_id ()) main;
+  let arrived = Atomic.make 0 in
+  (* Checks run after the joins: Alcotest is not domain-safe. *)
+  let seen =
+    List.init 3 (fun _ ->
+        Domain.spawn (fun () ->
+            let id = Sched.self () in
+            (* Stay alive until all three have drawn their ids. *)
+            Atomic.incr arrived;
+            while Atomic.get arrived < 3 do
+              Domain.cpu_relax ()
+            done;
+            (id, Sched.self (), Sched.domain_id (), Sched.tid ())))
+    |> List.map Domain.join
+  in
+  List.iter
+    (fun (id, again, dom, tid) ->
+      checki "stable within a domain" id again;
+      checki "self = domain id" id dom;
+      checki "tid is 0 on every domain" 0 tid)
+    seen;
+  let all = main :: List.map (fun (id, _, _, _) -> id) seen in
+  checki "distinct on 3 live domains + main" 4
+    (List.length (List.sort_uniq compare all));
+  checkb "clear of scheduler tids" true (List.for_all (fun i -> i >= 64) all);
+  let seen = ref [] in
+  let note () = seen := (Sched.self (), Sched.domain_id ()) :: !seen in
+  ignore
+    (Sched.run Strategy.Round_robin (fun () ->
+         note ();
+         ignore (Sched.spawn note);
+         ignore (Sched.spawn note)));
+  Alcotest.(check (list (pair int int)))
+    "scheduler tids inside a run, on the host domain"
+    [ (0, main); (1, main); (2, main) ]
+    (List.sort compare !seen);
+  checki "back to the domain id after the run" main (Sched.self ())
+
 let test_point_outside_is_noop () =
   Sched.point ();
   checkb "not active outside" false (Sched.active ())
@@ -283,6 +327,7 @@ let () =
           Alcotest.test_case "spawn runs all" `Quick test_spawn_runs_all;
           Alcotest.test_case "deterministic per seed" `Quick test_deterministic_same_seed;
           Alcotest.test_case "tid inside" `Quick test_tid_inside;
+          Alcotest.test_case "self identity" `Quick test_self_identity;
           Alcotest.test_case "point outside noop" `Quick test_point_outside_is_noop;
           Alcotest.test_case "active inside" `Quick test_active_inside;
           Alcotest.test_case "spawn outside rejected" `Quick test_spawn_outside_rejected;
