@@ -26,22 +26,15 @@ let run env ~crashed =
   let lineage = Env.lineage env in
   let live_before = Heap.live_count heap in
 
-  (* 1. Flush machinery first: if the flag-holding flusher died, its
-     staged deltas go back to a parked buffer and the flag clears, so
+  (* 1. Count-delivery state first (the mode's [adopt]): deferred-rc
+     re-parks a crashed flusher's staged deltas and clears the flag, so
      the adoption destroys below (and the final settling flush) can run
-     the flush themselves. The dead threads' own parked buffers already
-     live in the environment; they settle at the final flush — count
-     them now for the report. *)
-  let restaged = Env.rc_recover_flush env ~crashed in
-  let parked = Env.rc_parked_of env ~tids:crashed in
-  (* Wait-free mode: merge the dead threads' weight pouches into the
-     adopter's before any adoption destroy runs, so each orphaned
-     reference released below finds its pooled weight and the ledger
-     balances exactly as in a live release. *)
-  let pouches_adopted = Env.wf_adopt_pools env ~tids:crashed in
-  if pouches_adopted > 0 then
-    Metrics.add (Env.metrics env) "lfrc.adopt_weight" pouches_adopted;
-  let rc_settled = restaged + parked + pouches_adopted in
+     the flush themselves, and counts the dead threads' parked buffers,
+     which settle at the final flush; wait-free merges the dead threads'
+     weight pouches into the adopter's before any adoption destroy runs,
+     so each orphaned reference released below finds its pooled weight. *)
+  let (module Mode) = Env.rc env in
+  let rc_settled = Mode.adopt env ~crashed in
 
   (* 2. Help every MCAS descriptor the dead threads left in flight to a
      decision, so no DCAS is ever half-applied and the audit sees plain
@@ -97,7 +90,7 @@ let run env ~crashed =
         (fun (p, w) ->
           if p <> null && Heap.is_live heap p then begin
             incr publications_compensated;
-            if Env.wf_on env then Env.wf_pool_add env ~addr:p ~w ~n:1;
+            Mode.adopt_publication env p ~weight:w;
             adopt_one ~owner p
           end)
         (Env.adopt_publications env ~tids:[ owner ]);
@@ -125,7 +118,7 @@ let run env ~crashed =
   (* 5. Settle: one final flush lands every parked delta — the dead
      threads' own, the restaged ones, and whatever the adoption destroys
      parked — and cascades the resulting zero-count destroys. *)
-  if Env.rc_deferred env then ignore (Lfrc.flush env);
+  Lfrc.settle env;
 
   {
     crashed;

@@ -9,7 +9,9 @@
     environment's crash-safe registries:
 
     + a crashed flusher's staged count deltas are re-parked
-      ({!Lfrc_core.Env.rc_recover_flush}) and the flush flag cleared;
+      ({!Lfrc_core.Rc_mode.S.adopt}) and the flush flag cleared, and
+      in wait-free mode the dead threads' weight pouches are merged
+      into the adopter's;
     + in-flight MCAS descriptors in the dead threads' pool slots are
       helped to a decision ({!Lfrc_atomics.Mcas.adopt_slot}) — a DCAS is
       never left half-applied;

@@ -31,11 +31,11 @@ let deferred_rc_epoch = 64
    fallback is actually exercised by long runs. *)
 let wait_free_weight = 64
 
-let rc_epoch_of cfg = if cfg.deferred_rc then deferred_rc_epoch else 0
-
 let rc_mode_of cfg =
   if cfg.wait_free_rc then Lfrc_core.Env.Wait_free { weight = wait_free_weight }
-  else Lfrc_core.Env.rc_mode_of_epoch (rc_epoch_of cfg)
+  else if cfg.deferred_rc then
+    Lfrc_core.Env.Deferred_rc { epoch = deferred_rc_epoch }
+  else Lfrc_core.Env.Eager
 
 let default_config =
   {

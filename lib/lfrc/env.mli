@@ -19,37 +19,37 @@ type policy =
   | Iterative
   | Deferred of { budget_per_op : int }
 
-(** How reference-count adjustments reach the heap:
+(** How reference-count adjustments reach the heap — the count-delivery
+    mode, one {!Rc_mode.S} module each:
 
-    - [Eager] — every ±1 is a CAS on the object's count word, the paper's
-      Figure-2 behaviour. The default.
-    - [Deferred { epoch }] — deferred-rc coalescing: {!Lfrc}'s increment
-      and decrement sites park ±1 adjustments in per-thread buffers (see
-      the [rc_*] accessors below) instead of CASing the heap count, and a
-      global flush applies the netted deltas once [epoch] adjustments have
-      been parked (or earlier, at forced flush points). [epoch] must be
-      positive.
-    - [Wait_free { weight }] — weighted (split) reference counts,
-      Blelloch–Wei style: the count word holds the object's {e total
-      weight} (the sum over every live reference of the weight it
-      carries), [copy]/[destroy] adjust it with a single
+    - [Eager] ({!Eager}) — every ±1 is a CAS on the object's count word,
+      the paper's Figure-2 behaviour. The default.
+    - [Deferred_rc { epoch }] ({!Deferred}) — deferred-rc coalescing:
+      increments and decrements park as ±1 adjustments in per-thread
+      buffers instead of CASing the heap count, and a global flush
+      applies the netted deltas once [epoch] adjustments have been parked
+      (or earlier, at forced flush points). Clamped to [epoch >= 1].
+    - [Wait_free { weight }] ({!Wait_free}) — weighted (split) reference
+      counts, Blelloch–Wei style: the count word holds the object's
+      {e total weight} (the sum over every live reference of the weight
+      it carries), [copy]/[destroy] adjust it with a single
       {!Lfrc_atomics.Dcas.fetch_add} — no retry loop — and pointer
       handoffs move weight instead of touching the count at all. The
       Figure-2 DCAS survives only as [load]'s fallback when a heap slot's
       weight is exhausted; [weight] (clamped to >= 2) is the batch minted
-      per refill. See the [wf_*] accessors below and DESIGN.md §17. *)
+      per refill. See DESIGN.md §17. *)
 type rc_mode =
   | Eager
   | Deferred_rc of { epoch : int }
   | Wait_free of { weight : int }
 
-val rc_mode_of_epoch : int -> rc_mode
-(** [Eager] for 0 (and anything non-positive), [Deferred_rc { epoch }]
-    otherwise — the bridge for callers still holding a raw epoch. *)
-
 type t
 
-val create :
+type rc = (module Rc_mode.S with type env = t)
+(** A count-delivery module instance, with its own state. *)
+
+val create_with :
+  (rc_mode -> rc) ->
   ?dcas_impl:Lfrc_atomics.Dcas.impl ->
   ?policy:policy ->
   ?rc_mode:rc_mode ->
@@ -63,14 +63,17 @@ val create :
   ?symbolic:bool ->
   Lfrc_simmem.Heap.t ->
   t
-(** Defaults: [dcas_impl] is [Atomic_step] when called under the simulator
+(** [create_with instantiate ...] builds an environment whose
+    count-delivery module is [instantiate rc_mode]; every caller outside
+    this library uses [Lfrc_core.Env.create], which supplies the modes.
+
+    Defaults: [dcas_impl] is [Atomic_step] when called under the simulator
     and [Striped_lock] otherwise; [policy] is [Iterative]; [gc_threshold]
     (live-object count that triggers a tracing collection in GC-dependent
     mode; 0 disables) is 0.
 
-    [rc_mode] selects eager Figure-2 counts or deferred-rc coalescing; see
-    {!type:rc_mode}. (The pre-PR-7 [?rc_epoch] integer alias is gone;
-    callers still holding an epoch convert with {!rc_mode_of_epoch}.)
+    [rc_mode] (default [Eager]) selects the count-delivery mode; see
+    {!type:rc_mode}.
 
     [blame] (default disabled, one branch per event) wires the contention
     causality layer: the DCAS substrate stamps every successful write and
@@ -148,174 +151,19 @@ val set_incremental : t -> collector:Lfrc_simmem.Gc_incr.t -> budget:int -> unit
 
 val incremental : t -> (Lfrc_simmem.Gc_incr.t * int) option
 
-(** {2 Deferred-rc coalescing buffers}
-
-    Raw buffer plumbing for {!Lfrc}'s deferred-rc mode; structure code
-    never calls these. Every operation here is mutex-only — no scheduler
-    yield points — so under the simulator each is atomic with respect to
-    interleaving. *)
-
 val rc_mode : t -> rc_mode
-(** The count-update mode this environment was created with. *)
+(** The count-delivery mode this environment was created with (after
+    clamping). *)
 
-val rc_epoch : t -> int
-(** Parked-adjustment budget that triggers an automatic flush; [0] means
-    deferred-rc is off (eager Figure-2 counts). Equals the epoch of
-    {!rc_mode} when it is [Deferred_rc], else [0]. *)
-
-val rc_deferred : t -> bool
-(** [rc_epoch t > 0]. *)
-
-val rc_park : t -> addr:int -> delta:int -> int
-(** Park a ±1 count adjustment for [addr] in the calling thread's buffer,
-    netting it against any adjustment already parked there (a +1 and a -1
-    cancel without ever touching the heap). Returns the number of park
-    operations since the last drain, for the epoch trigger. *)
-
-val rc_drain_all : t -> (int * int) list
-(** Atomically empty {e every} thread's buffer and return the per-address
-    net deltas (zero nets omitted, order unspecified). Resets the park
-    counter. *)
-
-val rc_steal : t -> addr:int -> int
-(** Atomically remove [addr]'s parked deltas from every thread's buffer
-    and return their sum (0 when nothing was parked). Used by the flush
-    to absorb adjustments parked while it runs. *)
-
-val rc_parked : t -> int list
-(** Addresses with a nonzero parked net, across all threads (duplicates
-    possible); folded into {!anchors}. *)
-
-val rc_try_begin_flush : t -> bool
-(** Claim the flush-in-progress flag; [false] means another thread is
-    already flushing and the caller may skip (its parked deltas will be
-    picked up by that flush's re-drain loop). The claiming thread's id is
-    recorded so {!rc_recover_flush} can tell a stuck flag (dead owner)
-    from a live flush. *)
-
-val rc_end_flush : t -> unit
-
-(** {3 Crash-safe flush staging}
-
-    A flush drains parked deltas into an environment-owned applying table
-    and removes each only once its heap effect has landed; the flusher's
-    OCaml locals never hold the only copy. A flusher that crashes mid-apply
-    therefore loses nothing: {!rc_recover_flush} re-parks the leftovers. *)
-
-val rc_drain_into_applying : t -> bool
-(** Atomically move every thread's parked deltas into the applying table
-    (netting against anything already staged there). Returns whether any
-    buffer had content. Caller must hold the flush flag. *)
-
-val rc_applying_snapshot : t -> (int * int) list
-(** The staged (addr, net delta) pairs not yet applied, order unspecified. *)
-
-val rc_absorb : t -> addr:int -> int
-(** Atomically remove [addr]'s deltas from every thread's buffer {e and}
-    the applying table, returning the net. The zero-detect path uses this
-    so a concurrently staged delta cannot resurrect or double-free. *)
-
-val rc_apply_done : t -> addr:int -> unit
-(** The staged delta for [addr] has landed on the heap; unstage it. *)
-
-val rc_restage : t -> addr:int -> int
-(** Fold any freshly parked deltas for [addr] into its staged entry and
-    return the staged net (0 when nothing anywhere). The entry stays
-    staged until {!rc_apply_done}, so a crash in between loses nothing. *)
-
-val rc_recover_flush : t -> crashed:int list -> int
-(** If the thread holding the flush flag is in [crashed], re-park its
-    staged deltas (into the dead owner's buffer, where they stay anchored)
-    and release the flag; otherwise do nothing. Returns the number of
-    re-parked deltas. *)
-
-val rc_parked_of : t -> tids:int list -> int
-(** Number of addresses with parked deltas in the given threads' buffers
-    (adoption accounting aid). *)
-
-(** {2 Wait-free weighted-rc side tables}
-
-    Raw weight plumbing for {!Lfrc}'s [Wait_free] mode; structure code
-    never calls these. The count word holds total weight; each thread's
-    {e pouch} maps addr -> (pooled weight [w], covered refs [n]) — the
-    side-table stand-in for the weight bits a real implementation packs
-    into each local pointer word (invariant [w >= n >= 1]; a reference
-    with no pouch entry carries implicit weight 1). [wf_slot_*] does the
-    same for heap pointer slots, keyed by cell id (absent = weight 1);
-    callers remove a slot's entry in the same atomic step that nulls or
-    overwrites the slot, so recycled cell ids never inherit stale weight.
-    Every operation here is mutex-only — atomic under the simulator. *)
-
-val wf_on : t -> bool
-(** Whether this environment runs weighted (wait-free) counts. *)
-
-val wf_weight : t -> int
-(** The batch weight minted per refill/publication; [0] when off. *)
-
-val wf_pool_add : t -> addr:int -> w:int -> n:int -> unit
-(** Merge [w] weight covering [n] more references into the calling
-    thread's pouch entry for [addr] (creating it if absent). *)
-
-val wf_pool_try_share : t -> addr:int -> bool
-(** If the calling thread's pouch entry for [addr] has spare weight
-    ([w > n]), cover one more reference from the pool ([n + 1]) and
-    return [true] — the copy fast path that never touches the heap. *)
-
-val wf_pool_try_drop_shared : t -> addr:int -> bool
-(** If the entry covers more than one reference, drop one ([n - 1]),
-    leaving its weight pooled for the survivors, and return [true] — the
-    destroy fast path that never touches the heap. *)
-
-val wf_pool_weight : t -> addr:int -> int
-(** Peek the pooled weight for [addr] in the calling thread's pouch
-    (1 if absent — the implicit weight of an untracked reference). *)
-
-val wf_pool_remove : t -> addr:int -> unit
-(** Drop the calling thread's pouch entry for [addr] (after its weight
-    landed on the heap count). *)
-
-val wf_pool_give : t -> addr:int -> w:int -> bool
-(** Merge [w] weight into an existing entry {e without} covering a new
-    reference — returning unspent publication weight to a pouch that
-    still holds the pointer. [false] if no entry exists (the caller must
-    then return the weight through the count word instead). *)
-
-val wf_pool_take_for_transfer : t -> addr:int -> int
-(** Surrender the weight a reference to [addr] hands off to a heap slot:
-    the whole pool if this was the last covered reference (entry
-    removed), else 1 (leaving [w - 1 >= n - 1] pooled). 1 if absent. *)
-
-val wf_slot_take : t -> cell:Lfrc_simmem.Cell.t -> int
-(** Remove and return the weight carried by this heap slot (1 if
-    untracked). Call in the same atomic step that claims or nulls the
-    slot's pointer. *)
-
-val wf_slot_set : t -> cell:Lfrc_simmem.Cell.t -> w:int -> unit
-(** The slot now carries weight [w] (for the pointer just installed). *)
-
-val wf_slot_give : t -> cell:Lfrc_simmem.Cell.t -> w:int -> unit
-(** Add [w] to the slot's carried weight — [load]'s exhaustion-refill
-    deposits the freshly minted batch here. *)
-
-val wf_slot_try_borrow : t -> cell:Lfrc_simmem.Cell.t -> bool
-(** If the slot carries weight >= 2, take 1 and return [true] — [load]'s
-    borrow-on-handoff fast path. [false] on an exhausted slot. *)
-
-val wf_pooled : t -> int list
-(** Addresses with pouch entries, across all threads; folded into
-    {!anchors}. *)
-
-val wf_adopt_pools : t -> tids:int list -> int
-(** Merge the given (crashed) threads' pouches into the calling thread's,
-    so the recovery pass's adoption destroys consume the orphaned weight.
-    Returns the number of entries merged. *)
+val rc : t -> rc
+(** The count-delivery module {!Lfrc} dispatches to. *)
 
 val defer : t -> int -> unit
 (** Enqueue a dead object for deferred freeing. Only valid under the
     [Deferred] policy. *)
 
-val drain_deferred : t -> max:int -> int list
-(** Dequeue up to [max] pending dead objects (all of them if [max < 0]). *)
+val pop_deferred : t -> int option
+(** Dequeue the oldest pending dead object. *)
 
 val deferred_pending : t -> int
 
@@ -409,7 +257,7 @@ val run_recovery_hooks : t -> crashed:int list -> int
 
 val anchors : t -> int list
 (** Everything the auditor may treat as a lost-reference anchor: in-flight
-    destroys, the deferred queue's contents, addresses with parked or
-    flush-staged rc deltas, pouched weight entries, pending publications,
+    destroys, the deferred queue's contents, the count-delivery module's
+    in-flight addresses ({!Rc_mode.S.anchors}), pending publications,
     and all registered locals (with duplicates and nulls possible; the
     caller filters). *)

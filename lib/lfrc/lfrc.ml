@@ -29,12 +29,7 @@ let guard env op = if Env.symbolic env then raise (Symbolic_bypass op)
    operation it belongs to. With observability off each shim is a single
    branch — the policy {!Env.create} documents. *)
 
-let retry env counter =
-  Metrics.incr (Env.metrics env) counter;
-  Tracer.emit (Env.tracer env) Retry counter;
-  Profile.op_retry (Env.profile env)
-
-(* The hot retry loops hoist the obs-enabled check out of the loop: the
+(* The retry loops hoist the obs-enabled check out of the loop: the
    retry *count* is staged in the loop's existing burst accumulator and
    recorded once after the loop ([Metrics.add] — totals identical to the
    per-retry [incr] they replace), and only the per-event sinks (tracer
@@ -121,16 +116,9 @@ let try_alloc env layout =
       Error `Out_of_memory
 
 (* Destroying the last pointer to an object frees it and destroys the
-   pointers it contains. Three policies; all call [release_one] to drop a
-   single count and report whether the object died. *)
-
-(* The sanitizer learns that an object entered its destruction epoch at the
-   zero-detect itself — atomically with the winning decrement, before any
-   destroy-path read of the dead object's slots. *)
-let release_one env p =
-  let died = add_to_rc env p (-1) = 1 in
-  if died then Shadow.note_dying (Env.sanitizer env) p;
-  died
+   pointers it contains. The count-delivery mode ({!Rc_mode.S}) decides
+   how one reference is released and what a dying parent's child slot
+   hands over; the three destroy policies are written once over it. *)
 
 (* [counter] separates eager frees (destroy paths) from deferred-queue
    frees, the paper-§7 distinction the metrics surface. *)
@@ -138,228 +126,12 @@ let free_obj env counter p =
   Metrics.incr (Env.metrics env) counter;
   Heap.free (Env.heap env) p
 
-(* --- wait-free weighted rc (Blelloch–Wei split counts) ---
-
-   With [Env.wf_on], the count word holds the object's *total weight*:
-   the sum over every live reference of the weight that reference
-   carries. Heap slots carry weight in [Env.wf_slot_*] (absent = 1);
-   each thread's locals pool theirs in its pouch [Env.wf_pool_*]
-   (addr -> (w, n): n covered refs sharing w pooled weight, w >= n;
-   untracked refs carry implicit weight 1). Count adjustments are single
-   [Dcas.fetch_add]s — no retry loop anywhere on the rc path — and most
-   copies/destroys move weight between carriers without touching the
-   count at all. The Figure-2 DCAS survives only as [load]'s fallback on
-   an exhausted slot. The weight invariant, fallback conditions and
-   crash-recovery adoption are argued in DESIGN.md §17. *)
-
-(* Drop one reference to [p], whose pending drop the caller registered in
-   the destroy registry. Fast path: the ref was pool-covered alongside
-   others — uncover it, weight stays pooled, no heap traffic. Slow path:
-   flush the ref's whole carried weight with one fetch-add. Zero-detect
-   is exact: only the add that returns prev = w observed every other
-   carrier's weight already gone. Returns whether [p] died (the caller
-   tears it down; the registration stays until then). *)
-let wf_release env p =
-  if Env.wf_pool_try_drop_shared env ~addr:p then begin
-    Metrics.incr (Env.metrics env) "lfrc.weight_absorb";
-    false
-  end
-  else begin
-    let w = Env.wf_pool_weight env ~addr:p in
-    let rc = Heap.rc_cell (Env.heap env) p in
-    Blame.bind_owner (Env.blame env) ~cell:(Cell.id rc) ~addr:p;
-    let prev = Dcas.fetch_add (Env.dcas env) rc (-w) in
-    (* No yield since the add landed: removing the pouch entry is atomic
-       with it, so a crashed thread can never double-spend its weight
-       (a crash at the add's own yield point means nothing happened and
-       the pouch is intact). *)
-    Env.wf_pool_remove env ~addr:p;
-    Metrics.incr (Env.metrics env) "lfrc.weight_release";
-    Lineage.record_rc (Env.lineage env) ~addr:p ~old_rc:prev ~delta:(-w) ();
-    let died = prev = w in
-    if died then Shadow.note_dying (Env.sanitizer env) p;
-    died
-  end
-
-(* Tear down a dead object (count at zero, registered by the caller):
-   same slot-nulling discipline as the eager work-list destroy, except
-   each claimed child converts its slot weight into a pouch entry in the
-   same atomic step, so the weight ledger never dangles. *)
-let wf_teardown_registered env p =
-  let heap = Env.heap env in
-  let d = Env.dcas env in
-  let work = ref [ p ] in
-  while !work <> [] do
-    match !work with
-    | [] -> ()
-    | q :: rest ->
-        work := rest;
-        let n = Heap.n_ptr_slots heap q in
-        for i = 0 to n - 1 do
-          let cell = Heap.ptr_cell heap q i in
-          let child = Dcas.read d cell in
-          if child <> null then begin
-            Env.begin_destroy env child;
-            let ws = Env.wf_slot_take env ~cell in
-            Env.wf_pool_add env ~addr:child ~w:ws ~n:1;
-            Cell.set cell null;
-            if wf_release env child then work := child :: !work
-            else Env.end_destroy env child
-          end
-        done;
-        free_obj env "lfrc.frees" q;
-        Env.end_destroy env q
-  done
-
-(* --- deferred-rc coalescing ---
-
-   With [Env.rc_epoch > 0], the ±1 count traffic from store/copy/cas/dcas
-   increments and from every destroy is parked in per-thread buffers
-   ({!Env.rc_park}) instead of CASing the heap count, and a global flush
-   applies the per-address *net* deltas — one CAS per address instead of
-   one per adjustment. [load]'s DCAS stays eager: it is the safety
-   mechanism (increment-while-checking-the-pointer), not an accounting
-   convenience.
-
-   Why coalescing preserves the weak invariant: a parked +1 only ever
-   under-counts (heap rc may be below the true reference count, never
-   above), and a parked -1 leaves the heap rc conservatively high — an
-   object is freed only by the flush, after its net delta lands at zero
-   *and* a same-instant re-check shows no adjustment was parked while the
-   CAS was in flight. Since in deferred mode no eager decrement exists,
-   nothing else can free on a transient zero. DESIGN.md §12 carries the
-   full argument. *)
-
-let flush_rc env =
-  if not (Env.rc_deferred env && Env.rc_try_begin_flush env) then 0
-  else begin
-    let metrics = Env.metrics env in
-    let heap = Env.heap env in
-    let d = Env.dcas env in
-    let ln = Env.lineage env in
-    let freed = ref 0 in
-    Fun.protect ~finally:(fun () -> Env.rc_end_flush env) @@ fun () ->
-    Metrics.incr metrics "lfrc.rc_flush";
-    (* Crash safety: every delta this flush is working on lives in the
-       environment's applying table (staged atomically out of the buffers),
-       never only in this function's locals. A CAS success unstages its
-       delta in the same atomic step; a crash at any yield point leaves the
-       leftovers staged, where they stay anchored and a recovery pass
-       re-parks them for the next flush. *)
-    let rec apply addr =
-      if addr <> null then begin
-        let rc = Heap.rc_cell heap addr in
-        Blame.bind_owner (Env.blame env) ~cell:(Cell.id rc) ~addr;
-        let oldrc = Dcas.read d rc in
-        (* Fold in anything parked up to this instant so the CAS below
-           applies the complete net and a success at zero means zero
-           adjustments remain anywhere; the net stays staged until the CAS
-           lands. *)
-        let v = Env.rc_restage env ~addr in
-        if v <> 0 then begin
-          Metrics.incr metrics "lfrc.rc_flush_cas";
-          if Dcas.cas d rc oldrc (oldrc + v) then begin
-            (* No yield since the CAS: unstaging is atomic with it, so a
-               crashed flush can never re-apply a landed delta. *)
-            Env.rc_apply_done env ~addr;
-            Lineage.record_rc ln ~op:"lfrc.flush" ~addr ~old_rc:oldrc ~delta:v
-              ();
-            Lineage.record ln ~op:"lfrc.flush" ~addr (Lineage.Flush { net = v });
-            if oldrc + v = 0 then begin
-              (* Still atomic with the CAS: a delta parked while it was in
-                 flight (a late +1 from a racing store) resurrects the
-                 object instead of freeing it. *)
-              let late = Env.rc_absorb env ~addr in
-              if late <> 0 then ignore (Env.rc_park env ~addr ~delta:late)
-              else begin
-                Shadow.note_dying (Env.sanitizer env) addr;
-                Env.begin_destroy env addr;
-                let n = Heap.n_ptr_slots heap addr in
-                for i = 0 to n - 1 do
-                  let cell = Heap.ptr_cell heap addr i in
-                  let child = Dcas.read d cell in
-                  if child <> null then begin
-                    (* Park the child's decrement and null the slot in one
-                       atomic step: the remaining non-null slots of this
-                       dead parent are exactly the drops not yet committed,
-                       so an adopter resuming a crashed flush never
-                       double-drops. *)
-                    Lineage.record ln ~op:"lfrc.flush" ~addr:child
-                      Lineage.Defer_dec;
-                    ignore (Env.rc_park env ~addr:child ~delta:(-1));
-                    Cell.set cell null
-                  end
-                done;
-                free_obj env "lfrc.frees" addr;
-                incr freed;
-                Env.end_destroy env addr
-              end
-            end
-          end
-          else begin
-            retry env "lfrc.rc_retry";
-            apply addr
-          end
-        end
-      end
-    in
-    let rec rounds () =
-      ignore (Env.rc_drain_into_applying env);
-      let work = Env.rc_applying_snapshot env in
-      if work <> [] then begin
-        (* Positive nets land before negative ones so a count only dips to
-           zero once its pending increments are in; address order breaks
-           ties for deterministic replay. *)
-        let work =
-          List.sort
-            (fun (a1, v1) (a2, v2) ->
-              if v1 <> v2 then compare v2 v1 else compare a1 a2)
-            work
-        in
-        List.iter (fun (addr, _) -> apply addr) work;
-        rounds ()
-      end
-    in
-    rounds ();
-    !freed
-  end
-
-let defer_rc env p delta =
-  if p <> null then begin
-    let metrics = Env.metrics env in
-    Metrics.incr metrics (if delta > 0 then "lfrc.defer_inc" else "lfrc.defer_dec");
-    Lineage.record (Env.lineage env) ~addr:p
-      (if delta > 0 then Lineage.Defer_inc else Lineage.Defer_dec);
-    let parked = Env.rc_park env ~addr:p ~delta in
-    Metrics.set_gauge metrics "lfrc.rc_parked" parked;
-    if parked >= Env.rc_epoch env then ignore (flush_rc env)
-  end
-
-(* One increment of [p]'s count, made ahead of a publishing CAS — eager
-   CAS loop normally, parked when deferred-rc is on. The +1 exists
-   before any heap-visible pointer justifies it, so it is recorded in the
-   publication registry in the same atomic step it lands (eager: no yield
-   after add_to_rc's winning CAS; deferred: before the flush trigger can
-   yield). The caller ends the publication once the CAS resolves — on
-   success atomically with it, on failure atomically with registering the
-   compensating destroy — so no crash can separate the speculative count
-   from its record. *)
-let rc_incr_for_publish env p =
-  if p <> null then begin
-    if Env.rc_deferred env then begin
-      let metrics = Env.metrics env in
-      Metrics.incr metrics "lfrc.defer_inc";
-      Lineage.record (Env.lineage env) ~addr:p Lineage.Defer_inc;
-      let parked = Env.rc_park env ~addr:p ~delta:1 in
-      Env.begin_publish env p;
-      Metrics.set_gauge metrics "lfrc.rc_parked" parked;
-      if parked >= Env.rc_epoch env then ignore (flush_rc env)
-    end
-    else begin
-      ignore (add_to_rc env p 1);
-      Env.begin_publish env p
-    end
-  end
+(* The sanitizer learns that an object entered its destruction epoch at the
+   zero-detect itself — atomically with the winning decrement, before any
+   destroy-path read of the dead object's slots. *)
+let released env p died =
+  if died then Shadow.note_dying (Env.sanitizer env) p else Env.end_destroy env p;
+  died
 
 (* From the moment a destroy is committed to dropping a reference until the
    object is freed (or handed to the deferred queue), that reference exists
@@ -375,75 +147,57 @@ let rc_incr_for_publish env p =
    non-null slots are exactly the drops not yet committed, and an adopter
    resuming a crashed destroy never double-drops a child. *)
 
-(* The [_registered] variants assume [p]'s pending drop is already in the
-   destroy registry (placed by the caller, atomically with the CAS that
-   committed the drop) and consume that registration. The multi-drop sites
-   (DCAS success drops two references) need this: both drops are registered
+(* Everything below assumes [p]'s pending drop is already in the destroy
+   registry (placed by the caller, atomically with the CAS that committed
+   the drop) and consumes that registration. The multi-drop sites (DCAS
+   success drops two references) need this: both drops are registered
    atomically with the DCAS, so the second stays anchored while the first
    cascades. *)
 
-(* Figure 2, lines 13..15: recursive destroy, faithful to the paper. *)
-let rec destroy_recursive_registered env p =
-  if release_one env p then begin
-    let heap = Env.heap env in
-    let d = Env.dcas env in
-    let n = Heap.n_ptr_slots heap p in
-    for i = 0 to n - 1 do
-      let cell = Heap.ptr_cell heap p i in
-      let child = Dcas.read d cell in
-      if child <> null then begin
-        Env.begin_destroy env child;
-        Cell.set cell null;
-        destroy_recursive_registered env child
-      end
-    done;
-    free_obj env "lfrc.frees" p
+(* Claim slot [i] of the dead object [q] for its teardown: register the
+   child's drop and null the slot in one atomic step. A dead child outlives
+   its parent's registration (the parent is freed first), so it gets its
+   own. Returns the child (null for an empty slot). *)
+let claim_slot env q i =
+  let (module M) = Env.rc env in
+  let cell = Heap.ptr_cell (Env.heap env) q i in
+  let child = Dcas.read (Env.dcas env) cell in
+  if child <> null then begin
+    Env.begin_destroy env child;
+    M.claim_child env ~cell child;
+    Cell.set cell null
   end;
-  Env.end_destroy env p
+  child
 
-let destroy_recursive env p =
-  if p <> null then begin
-    Env.begin_destroy env p;
-    destroy_recursive_registered env p
+(* Figure 2, lines 13..15: recursive destroy, faithful to the paper. *)
+let rec destroy_recursive env p =
+  let (module M) = Env.rc env in
+  if M.release env p then begin
+    for i = 0 to Heap.n_ptr_slots (Env.heap env) p - 1 do
+      let child = claim_slot env p i in
+      if child <> null then destroy_recursive env child
+    done;
+    free_obj env "lfrc.frees" p;
+    Env.end_destroy env p
   end
 
 (* Same semantics with an explicit work list: survives arbitrarily long
-   chains of dead objects. *)
-let destroy_iterative_registered env p =
-  if not (release_one env p) then Env.end_destroy env p
-  else begin
-    let heap = Env.heap env in
-    let d = Env.dcas env in
-    let work = ref [ p ] in
-    while !work <> [] do
-      match !work with
-      | [] -> ()
-      | q :: rest ->
-          work := rest;
-          let n = Heap.n_ptr_slots heap q in
-          for i = 0 to n - 1 do
-            let cell = Heap.ptr_cell heap q i in
-            let child = Dcas.read d cell in
-            if child <> null then begin
-              (* A dead child outlives its parent's registration (the
-                 parent is freed first), so it gets its own — placed, with
-                 the slot nulling, atomically before the drop. *)
-              Env.begin_destroy env child;
-              Cell.set cell null;
-              if release_one env child then work := child :: !work
-              else Env.end_destroy env child
-            end
-          done;
-          free_obj env "lfrc.frees" q;
-          Env.end_destroy env q
-    done
-  end
-
-let destroy_iterative env p =
-  if p <> null then begin
-    Env.begin_destroy env p;
-    destroy_iterative_registered env p
-  end
+   chains of dead objects. [p] is dead (its count reached zero). *)
+let teardown env p =
+  let (module M) = Env.rc env in
+  let work = ref [ p ] in
+  while !work <> [] do
+    match !work with
+    | [] -> ()
+    | q :: rest ->
+        work := rest;
+        for i = 0 to Heap.n_ptr_slots (Env.heap env) q - 1 do
+          let child = claim_slot env q i in
+          if child <> null && M.release env child then work := child :: !work
+        done;
+        free_obj env "lfrc.frees" q;
+        Env.end_destroy env q
+  done
 
 (* Deferred policy: dead objects go to the environment's queue; each later
    LFRC operation frees a bounded number ([pump]), so no single operation
@@ -455,14 +209,13 @@ let defer_dead env p =
 let pump_deferred env ~budget =
   (* Keep draining until the budget is spent: processing a dead object can
      enqueue its children, and those count against the same slice. *)
-  let heap = Env.heap env in
-  let d = Env.dcas env in
+  let (module M) = Env.rc env in
   let freed = ref 0 in
   let exhausted = ref false in
   while (not !exhausted) && (budget < 0 || !freed < budget) do
-    match Env.drain_deferred env ~max:1 with
-    | [] -> exhausted := true
-    | q :: _ ->
+    match Env.pop_deferred env with
+    | None -> exhausted := true
+    | Some q ->
         (* The dequeue and this registration are atomic, so [q] is never
            anchored by neither the queue nor the registry. *)
         Env.begin_destroy env q;
@@ -471,25 +224,10 @@ let pump_deferred env ~budget =
            mistaken for third-party use-after-retire. *)
         Shadow.note_dying (Env.sanitizer env) q;
         incr freed;
-        let n = Heap.n_ptr_slots heap q in
-        for i = 0 to n - 1 do
-          let cell = Heap.ptr_cell heap q i in
-          let child = Dcas.read d cell in
-          if child <> null then begin
-            Env.begin_destroy env child;
-            if Env.wf_on env then begin
-              (* Weighted drop: the slot's carried weight moves to the
-                 pouch atomically with the claim, then flushes in one
-                 fetch-add inside [wf_release]. *)
-              let ws = Env.wf_slot_take env ~cell in
-              Env.wf_pool_add env ~addr:child ~w:ws ~n:1;
-              Cell.set cell null;
-              if wf_release env child then defer_dead env child
-            end
-            else begin
-              Cell.set cell null;
-              if release_one env child then defer_dead env child
-            end;
+        for i = 0 to Heap.n_ptr_slots (Env.heap env) q - 1 do
+          let child = claim_slot env q i in
+          if child <> null && M.release env child then begin
+            defer_dead env child;
             Env.end_destroy env child
           end
         done;
@@ -498,198 +236,47 @@ let pump_deferred env ~budget =
   done;
   !freed
 
-(* Wait-free commit of a drop whose registration the caller already
-   placed: released references either uncover from the pouch or flush
-   their weight; a death cascades through the weighted teardown (or the
-   deferred queue under that policy). *)
-let wf_commit_drop env p =
+let commit_drop env p =
+  let (module M) = Env.rc env in
   match Env.policy env with
+  | Env.Recursive -> destroy_recursive env p
+  | Env.Iterative -> if M.release env p then teardown env p
   | Env.Deferred { budget_per_op } ->
-      if wf_release env p then defer_dead env p;
-      Env.end_destroy env p;
+      if M.release env p then begin
+        defer_dead env p;
+        Env.end_destroy env p
+      end;
       ignore (pump_deferred env ~budget:budget_per_op)
-  | Env.Recursive | Env.Iterative ->
-      (* Recursion depth is an eager-mode concern; the weighted teardown
-         is always the explicit work list. *)
-      if wf_release env p then wf_teardown_registered env p
-      else Env.end_destroy env p
 
-(* Commit a drop whose registry entry the caller already placed (atomically
-   with the CAS that removed the reference from the heap); [p <> null]. *)
 let destroy_registered env p =
   Metrics.incr (Env.metrics env) "lfrc.destroy";
-  if Env.wf_on env then wf_commit_drop env p
-  else if Env.rc_deferred env then begin
-    let metrics = Env.metrics env in
-    Metrics.incr metrics "lfrc.defer_dec";
-    Lineage.record (Env.lineage env) ~addr:p Lineage.Defer_dec;
-    (* Parking the decrement re-anchors the drop; consuming the
-       registration in the same atomic step keeps exactly one anchor. *)
-    let parked = Env.rc_park env ~addr:p ~delta:(-1) in
-    Env.end_destroy env p;
-    Metrics.set_gauge metrics "lfrc.rc_parked" parked;
-    if parked >= Env.rc_epoch env then ignore (flush_rc env)
-  end
-  else
-    match Env.policy env with
-    | Env.Recursive -> destroy_recursive_registered env p
-    | Env.Iterative -> destroy_iterative_registered env p
-    | Env.Deferred { budget_per_op } ->
-        if release_one env p then defer_dead env p;
-        Env.end_destroy env p;
-        ignore (pump_deferred env ~budget:budget_per_op)
-
-let flush env =
-  let coalesced = if Env.rc_deferred env then flush_rc env else 0 in
-  coalesced + pump_deferred env ~budget:(-1)
+  commit_drop env p
 
 let destroy env p =
   guard env "destroy";
   span env "lfrc.destroy" @@ fun () ->
-  if Env.wf_on env then begin
-    if p <> null then begin
-      Env.begin_destroy env p;
-      wf_commit_drop env p
-    end
-    else
-      match Env.policy env with
-      | Env.Deferred { budget_per_op } ->
-          ignore (pump_deferred env ~budget:budget_per_op)
-      | Env.Recursive | Env.Iterative -> ()
-  end
-  else if Env.rc_deferred env then
-    (* Park the decrement; zero detection (and the free) happens in the
-       flush, which alone may move a heap count downward in this mode. *)
-    defer_rc env p (-1)
+  let (module M) = Env.rc env in
+  if p <> null then M.drop env p
   else
     match Env.policy env with
-    | Env.Recursive -> destroy_recursive env p
-    | Env.Iterative -> destroy_iterative env p
     | Env.Deferred { budget_per_op } ->
-        if p <> null then begin
-          Env.begin_destroy env p;
-          if release_one env p then defer_dead env p;
-          Env.end_destroy env p
-        end;
         ignore (pump_deferred env ~budget:budget_per_op)
+    | Env.Recursive | Env.Iterative -> ()
 
-(* Weight-batch publication for the wait-free CAS publishing sites: mint
-   a whole batch with one fetch-add; the registry entry carries the batch
-   size so a crash before the CAS resolves is compensated weight-exactly
-   by recovery. *)
-let wf_publish env p =
-  if p <> null then begin
-    let wt = Env.wf_weight env in
-    let rc = Heap.rc_cell (Env.heap env) p in
-    Blame.bind_owner (Env.blame env) ~cell:(Cell.id rc) ~addr:p;
-    let prev = Dcas.fetch_add (Env.dcas env) rc wt in
-    (* Atomic with the add: the speculative batch is never unanchored. *)
-    Env.begin_publish ~weight:wt env p;
-    Metrics.incr (Env.metrics env) "lfrc.weight_pub";
-    Lineage.record_rc (Env.lineage env) ~addr:p ~old_rc:prev ~delta:wt ()
-  end
+let flush env =
+  let (module M) = Env.rc env in
+  let coalesced = M.flush env in
+  coalesced + pump_deferred env ~budget:(-1)
 
-(* Return an unspent publication batch after a failed CAS. Preferred:
-   merge it into the thread's pouch entry for [p] (the caller's local
-   still covers it). With no entry to absorb into, return it through the
-   count word as a phantom-reference drop — which also handles the case
-   where the publication was the last thing keeping [p] alive. *)
-let wf_give_back env p =
-  if p <> null then begin
-    let wt = Env.wf_weight env in
-    if not (Env.wf_pool_give env ~addr:p ~w:wt) then begin
-      Env.begin_destroy env p;
-      Env.wf_pool_add env ~addr:p ~w:wt ~n:1;
-      wf_commit_drop env p
-    end
-  end
-
-(* Bookkeeping for a winning publish CAS over [cell] that replaced
-   [oldv]: claim the old pointer's slot weight into the pouch (and
-   register its pending drop), then install the new slot weight — all in
-   the same atomic step as the CAS itself. Claiming old-first keeps the
-   ledger right when the CAS reinstalls the same pointer. *)
-let wf_swap_slot env ~cell ~oldv ~neww =
-  if oldv <> null then begin
-    Env.begin_destroy env oldv;
-    let ws = Env.wf_slot_take env ~cell in
-    Env.wf_pool_add env ~addr:oldv ~w:ws ~n:1
-  end
-  else ignore (Env.wf_slot_take env ~cell);
-  match neww with Some w -> Env.wf_slot_set env ~cell ~w | None -> ()
-
-(* The committed drop a [wf_swap_slot] registered. *)
-let wf_drop_swapped env oldv =
-  if oldv <> null then begin
-    Metrics.incr (Env.metrics env) "lfrc.destroy";
-    wf_commit_drop env oldv
-  end
-
-(* Wait-free LFRCLoad: the pointer read and the weight borrow are one
-   atomic step — the simulator analogue of the single RMW a real
-   implementation issues on the packed (pointer, weight) word. The
-   Figure-2 DCAS survives only as the exhausted-slot fallback, which
-   refills the slot with a fresh batch so the next [weight] loads borrow
-   again; its retries count as [lfrc.load_retry] (so [lfrc.rc_retry]
-   stays exactly 0 in this mode). The borrow fast path is disabled under
-   [Software_mcas], whose cells can transiently hold descriptor words a
-   raw peek must not trust. *)
-let wf_load env ~src ~dest =
-  let heap = Env.heap env in
-  let d = Env.dcas env in
-  let olddest = !dest in
-  let can_borrow = Dcas.impl d <> Dcas.Software_mcas in
-  let wt = Env.wf_weight env in
-  let slow = per_retry_obs env in
-  let rec go burst =
-    let a = Dcas.read d src in
-    if a = null then begin
-      dest := null;
-      burst
-    end
-    else if can_borrow && Env.wf_slot_try_borrow env ~cell:src then begin
-      (* Same no-yield window as the read: the slot still holds [a], so
-         the borrowed unit provably covers a live reference. *)
-      Env.wf_pool_add env ~addr:a ~w:1 ~n:1;
-      dest := a;
-      Metrics.incr (Env.metrics env) "lfrc.weight_borrow";
-      Lineage.record (Env.lineage env) ~addr:a Lineage.Wborrow;
-      burst
-    end
-    else begin
-      let rc = Heap.rc_cell heap a in
-      Blame.bind_owner (Env.blame env) ~cell:(Cell.id rc) ~addr:a;
-      let r = Dcas.read d rc in
-      (* Exhaustion fallback: mint [wt + 1] while atomically checking the
-         slot still holds [a] — [wt] refills the slot, 1 covers the new
-         reference. *)
-      if Dcas.dcas d src rc ~old0:a ~old1:r ~new0:a ~new1:(r + wt + 1) then begin
-        Env.wf_slot_give env ~cell:src ~w:wt;
-        Env.wf_pool_add env ~addr:a ~w:1 ~n:1;
-        dest := a;
-        Metrics.incr (Env.metrics env) "lfrc.weight_exhaust";
-        Lineage.record_rc (Env.lineage env) ~addr:a ~old_rc:r ~delta:(wt + 1)
-          ();
-        burst
-      end
-      else begin
-        if slow then retry_slow env "lfrc.load_retry";
-        go (burst + 1)
-      end
-    end
-  in
-  let burst = go 0 in
-  record_retries env "lfrc.load_retry" burst;
-  Metrics.observe (Env.metrics env) "lfrc.load.retries" (float_of_int burst);
-  destroy env olddest
+let settle env =
+  let (module M) = Env.rc env in
+  ignore (M.flush env)
 
 (* LFRCLoad (Figure 2, lines 1..12). *)
 let load env ~src ~dest =
   guard env "load";
   span env "lfrc.load" @@ fun () ->
-  if Env.wf_on env then wf_load env ~src ~dest
-  else
-  let heap = Env.heap env in
+  let (module M) = Env.rc env in
   let d = Env.dcas env in
   let olddest = !dest in
   let slow = per_retry_obs env in
@@ -699,15 +286,22 @@ let load env ~src ~dest =
       dest := null;
       burst
     end
+    else if M.borrow env ~src a then begin
+      dest := a;
+      burst
+    end
     else begin
-      let rc = Heap.rc_cell heap a in
+      let rc = Heap.rc_cell (Env.heap env) a in
       Blame.bind_owner (Env.blame env) ~cell:(Cell.id rc) ~addr:a;
       let r = Dcas.read d rc in
       (* Increment the count while atomically checking that [src] still
          points at [a]: the object cannot have been freed and recycled
          under us if the pointer still exists. *)
-      if Dcas.dcas d src rc ~old0:a ~old1:r ~new0:a ~new1:(r + 1) then begin
-        Lineage.record_rc (Env.lineage env) ~addr:a ~old_rc:r ~delta:1 ();
+      if Dcas.dcas d src rc ~old0:a ~old1:r ~new0:a ~new1:(r + M.load_weight)
+      then begin
+        M.loaded env ~src a;
+        Lineage.record_rc (Env.lineage env) ~addr:a ~old_rc:r
+          ~delta:M.load_weight ();
         dest := a;
         burst
       end
@@ -724,24 +318,21 @@ let load env ~src ~dest =
   Metrics.observe (Env.metrics env) "lfrc.load.retries" (float_of_int burst);
   destroy env olddest
 
-let wf_store env ~dst v =
-  wf_publish env v;
-  let d = Env.dcas env in
-  let wt = Env.wf_weight env in
+(* Figure 2, lines 23..27: CAS [v] into [dst] over whatever it holds,
+   retrying on interference, and return the displaced pointer. Nothing
+   between the winning CAS and the caller's bookkeeping yields, so that
+   bookkeeping rides the CAS's atomic step. *)
+let swap_in env ~dst v ~observe =
   let slow = per_retry_obs env in
   let rec go burst =
+    let d = Env.dcas env in
     let oldval = Dcas.read d dst in
     if Dcas.cas d dst oldval v then begin
-      (* All of this rides the winning CAS's atomic step: the published
-         batch becomes the slot's carried weight, the displaced pointer's
-         slot weight moves to the pouch with its drop registered. *)
-      Env.end_publish env v;
-      wf_swap_slot env ~cell:dst ~oldv:oldval
-        ~neww:(if v <> null then Some wt else None);
       record_retries env "lfrc.store_retry" burst;
-      Metrics.observe (Env.metrics env) "lfrc.store.retries"
-        (float_of_int burst);
-      wf_drop_swapped env oldval
+      if observe then
+        Metrics.observe (Env.metrics env) "lfrc.store.retries"
+          (float_of_int burst);
+      oldval
     end
     else begin
       if slow then retry_slow env "lfrc.store_retry";
@@ -754,305 +345,113 @@ let wf_store env ~dst v =
 let store env ~dst v =
   guard env "store";
   span env "lfrc.store" @@ fun () ->
-  if Env.wf_on env then wf_store env ~dst v
-  else begin
-  rc_incr_for_publish env v;
-  let d = Env.dcas env in
-  let slow = per_retry_obs env in
-  let rec go burst =
-    let oldval = Dcas.read d dst in
-    if Dcas.cas d dst oldval v then begin
-      (* The winning CAS made the +1 heap-justified; ending the publication
-         is atomic with it. *)
-      Env.end_publish env v;
-      record_retries env "lfrc.store_retry" burst;
-      Metrics.observe (Env.metrics env) "lfrc.store.retries"
-        (float_of_int burst);
-      destroy env oldval
-    end
-    else begin
-      if slow then retry_slow env "lfrc.store_retry";
-      go (burst + 1)
-    end
-  in
-  go 0
-  end
-
-(* Wait-free store of an owned allocation: no publication — the local
-   reference's carried weight transfers to the slot on the winning CAS.
-   [clear] (for the crash-safe [_from] variant) nulls the source local in
-   the same atomic step. *)
-let wf_store_alloc env ~dst v ~clear =
-  let d = Env.dcas env in
-  let slow = per_retry_obs env in
-  let rec go burst =
-    let oldval = Dcas.read d dst in
-    if Dcas.cas d dst oldval v then begin
-      clear ();
-      let wtk =
-        if v <> null then Env.wf_pool_take_for_transfer env ~addr:v else 1
-      in
-      wf_swap_slot env ~cell:dst ~oldv:oldval
-        ~neww:(if v <> null then Some wtk else None);
-      record_retries env "lfrc.store_retry" burst;
-      wf_drop_swapped env oldval
-    end
-    else begin
-      if slow then retry_slow env "lfrc.store_retry";
-      go (burst + 1)
-    end
-  in
-  go 0
+  let (module M) = Env.rc env in
+  M.publish env v;
+  let oldv = swap_in env ~dst v ~observe:true in
+  (* The winning CAS made the raise heap-justified; ending the publication
+     is atomic with it. *)
+  Env.end_publish env v;
+  M.installed env ~cell:dst ~oldv ~newv:v ~owned:false
 
 (* LFRCStoreAlloc (paper Figure 1, line 35): consume the allocation's
-   count instead of raising it. *)
-let store_alloc env ~dst v =
-  guard env "store_alloc";
-  span env "lfrc.store_alloc" @@ fun () ->
-  if Env.wf_on env then wf_store_alloc env ~dst v ~clear:ignore
-  else
-  let d = Env.dcas env in
-  let slow = per_retry_obs env in
-  let rec go burst =
-    let oldval = Dcas.read d dst in
-    if Dcas.cas d dst oldval v then begin
-      record_retries env "lfrc.store_retry" burst;
-      destroy env oldval
-    end
-    else begin
-      if slow then retry_slow env "lfrc.store_retry";
-      go (burst + 1)
-    end
-  in
-  go 0
-
-(* Crash-safe variant: the source is a (registered-local) ref, cleared in
-   the same atomic step as the winning CAS, so the allocation's count has
+   count instead of raising it. The source is a (registered-local) ref,
+   cleared in the same atomic step as the winning CAS, so the count has
    exactly one owner — the local or the heap slot — at every yield point. *)
 let store_alloc_from env ~dst r =
   guard env "store_alloc";
   span env "lfrc.store_alloc" @@ fun () ->
-  let d = Env.dcas env in
+  let (module M) = Env.rc env in
   let v = !r in
-  if Env.wf_on env then wf_store_alloc env ~dst v ~clear:(fun () -> r := null)
-  else
-  let slow = per_retry_obs env in
-  let rec go burst =
-    let oldval = Dcas.read d dst in
-    if Dcas.cas d dst oldval v then begin
-      r := null;
-      record_retries env "lfrc.store_retry" burst;
-      destroy env oldval
-    end
-    else begin
-      if slow then retry_slow env "lfrc.store_retry";
-      go (burst + 1)
-    end
-  in
-  go 0
+  let oldv = swap_in env ~dst v ~observe:false in
+  r := null;
+  M.installed env ~cell:dst ~oldv ~newv:v ~owned:true
 
-(* Wait-free LFRCCopy: cover the new reference from the thread's pooled
-   weight when the pouch has spare units (no shared-memory traffic at
-   all); refill the pouch with a whole fetch-add batch otherwise. Either
-   way, no compare loop. *)
-let wf_copy env ~dest w =
-  if w <> null then begin
-    if Env.wf_pool_try_share env ~addr:w then begin
-      Metrics.incr (Env.metrics env) "lfrc.weight_share";
-      Lineage.record (Env.lineage env) ~addr:w Lineage.Wshare
-    end
-    else begin
-      let wt = Env.wf_weight env in
-      let rc = Heap.rc_cell (Env.heap env) w in
-      Blame.bind_owner (Env.blame env) ~cell:(Cell.id rc) ~addr:w;
-      let prev = Dcas.fetch_add (Env.dcas env) rc wt in
-      (* Atomic with the add: pouch the batch before any yield. *)
-      Env.wf_pool_add env ~addr:w ~w:wt ~n:1;
-      Metrics.incr (Env.metrics env) "lfrc.weight_refill";
-      Lineage.record_rc (Env.lineage env) ~addr:w ~old_rc:prev ~delta:wt ()
-    end
-  end;
-  let old = !dest in
-  dest := w;
-  destroy env old
+let store_alloc env ~dst v = store_alloc_from env ~dst (ref v)
 
 (* LFRCCopy (Figure 2, lines 29..32). *)
 let copy env ~dest w =
   guard env "copy";
   span env "lfrc.copy" @@ fun () ->
-  if Env.wf_on env then wf_copy env ~dest w
-  else begin
-    (* The deferred-mode increment can trigger a flush (which yields) before
-       [dest] holds [w], so the +1 rides the publication registry until the
-       assignment lands. *)
-    rc_incr_for_publish env w;
-    let old = !dest in
-    dest := w;
-    Env.end_publish env w;
-    destroy env old
-  end
-
-(* Wait-free LFRCDCAS: publish whole weight batches with two fetch-adds,
-   attempt the DCAS once per call from the caller's retry loop, and move
-   slot weights on success. A failure returns both unspent batches — one
-   at a time, so [new1]'s batch stays registered (crash-anchored) across
-   any destroy cascade [new0]'s give-back triggers. *)
-let wf_dcas env c0 c1 ~old0 ~old1 ~new0 ~new1 =
-  let wt = Env.wf_weight env in
-  wf_publish env new0;
-  wf_publish env new1;
-  if Dcas.dcas (Env.dcas env) c0 c1 ~old0 ~old1 ~new0 ~new1 then begin
-    Env.end_publish env new0;
-    Env.end_publish env new1;
-    wf_swap_slot env ~cell:c0 ~oldv:old0
-      ~neww:(if new0 <> null then Some wt else None);
-    wf_swap_slot env ~cell:c1 ~oldv:old1
-      ~neww:(if new1 <> null then Some wt else None);
-    wf_drop_swapped env old0;
-    wf_drop_swapped env old1;
-    true
-  end
-  else begin
-    Env.end_publish env new0;
-    wf_give_back env new0;
-    Env.end_publish env new1;
-    wf_give_back env new1;
-    false
-  end
+  let (module M) = Env.rc env in
+  M.acquire env w;
+  let old = !dest in
+  dest := w;
+  (* A raise that could yield before [dest] held [w] rode the publication
+     registry until this assignment. *)
+  Env.end_publish env w;
+  destroy env old
 
 (* LFRCDCAS (Figure 2, lines 33..39). *)
 let dcas env c0 c1 ~old0 ~old1 ~new0 ~new1 =
   guard env "dcas";
   span env "lfrc.dcas" @@ fun () ->
-  if Env.wf_on env then wf_dcas env c0 c1 ~old0 ~old1 ~new0 ~new1
-  else begin
-    rc_incr_for_publish env new0;
-    rc_incr_for_publish env new1;
-    if Dcas.dcas (Env.dcas env) c0 c1 ~old0 ~old1 ~new0 ~new1 then begin
-      Env.end_publish env new0;
-      Env.end_publish env new1;
-      (* Register BOTH committed drops atomically with the DCAS, then commit
-         them one at a time: the second stays anchored while the first's
-         cascade yields. *)
-      if old0 <> null then Env.begin_destroy env old0;
-      if old1 <> null then Env.begin_destroy env old1;
-      if old0 <> null then destroy_registered env old0;
-      if old1 <> null then destroy_registered env old1;
-      true
-    end
-    else begin
-      (* Resolve one publication at a time: [new1] stays registered across
-         [new0]'s destroy cascade (which can yield), so a crash inside it
-         never leaves [new1]'s speculative +1 unanchored. *)
-      Env.end_publish env new0;
-      destroy env new0;
-      Env.end_publish env new1;
-      destroy env new1;
-      false
-    end
-  end
-
-(* Wait-free LFRCCAS: single-cell [wf_dcas] shape. *)
-let wf_cas env c ~old_ptr ~new_ptr =
-  wf_publish env new_ptr;
-  if Dcas.cas (Env.dcas env) c old_ptr new_ptr then begin
-    Env.end_publish env new_ptr;
-    wf_swap_slot env ~cell:c ~oldv:old_ptr
-      ~neww:(if new_ptr <> null then Some (Env.wf_weight env) else None);
-    wf_drop_swapped env old_ptr;
+  let (module M) = Env.rc env in
+  M.publish env new0;
+  M.publish env new1;
+  if Dcas.dcas (Env.dcas env) c0 c1 ~old0 ~old1 ~new0 ~new1 then begin
+    Env.end_publish env new0;
+    Env.end_publish env new1;
+    (* Register BOTH committed drops atomically with the DCAS, then commit
+       them one at a time: the second stays anchored while the first's
+       cascade yields. *)
+    M.claim env ~cell:c0 ~oldv:old0 ~newv:new0;
+    M.claim env ~cell:c1 ~oldv:old1 ~newv:new1;
+    if old0 <> null then destroy_registered env old0;
+    if old1 <> null then destroy_registered env old1;
     true
   end
   else begin
-    Env.end_publish env new_ptr;
-    wf_give_back env new_ptr;
+    (* Resolve one publication at a time: [new1] stays registered across
+       [new0]'s give-back (which can yield), so a crash inside it never
+       leaves [new1]'s speculative raise unanchored. *)
+    Env.end_publish env new0;
+    M.give_back env new0;
+    Env.end_publish env new1;
+    M.give_back env new1;
     false
   end
+
+(* Resolve a single-cell publishing CAS on [cell] that tried to replace
+   [oldv] by the published [newv]. *)
+let resolve env ~cell ~oldv ~newv won =
+  let (module M) = Env.rc env in
+  Env.end_publish env newv;
+  if won then M.installed env ~cell ~oldv ~newv ~owned:false
+  else M.give_back env newv;
+  won
 
 (* LFRCCAS: the paper's "obvious simplification" of LFRCDCAS. *)
 let cas env c ~old_ptr ~new_ptr =
   guard env "cas";
   span env "lfrc.cas" @@ fun () ->
-  if Env.wf_on env then wf_cas env c ~old_ptr ~new_ptr
-  else begin
-    rc_incr_for_publish env new_ptr;
-    if Dcas.cas (Env.dcas env) c old_ptr new_ptr then begin
-      Env.end_publish env new_ptr;
-      destroy env old_ptr;
-      true
-    end
-    else begin
-      Env.end_publish env new_ptr;
-      destroy env new_ptr;
-      false
-    end
-  end
+  let (module M) = Env.rc env in
+  M.publish env new_ptr;
+  resolve env ~cell:c ~oldv:old_ptr ~newv:new_ptr
+    (Dcas.cas (Env.dcas env) c old_ptr new_ptr)
 
 (* Extension: DCAS over one pointer cell and one plain-value cell.
    Reference counting applies to the pointer side only. *)
 let dcas_ptr_val env ~ptr_cell ~val_cell ~old_ptr ~new_ptr ~old_val ~new_val =
   guard env "dcas_ptr_val";
   span env "lfrc.dcas_ptr_val" @@ fun () ->
-  if Env.wf_on env then begin
-    (* Weight tables track the pointer word only; the value word carries
-       no references. *)
-    wf_publish env new_ptr;
-    if
-      Dcas.dcas (Env.dcas env) ptr_cell val_cell ~old0:old_ptr ~old1:old_val
-        ~new0:new_ptr ~new1:new_val
-    then begin
-      Env.end_publish env new_ptr;
-      wf_swap_slot env ~cell:ptr_cell ~oldv:old_ptr
-        ~neww:(if new_ptr <> null then Some (Env.wf_weight env) else None);
-      wf_drop_swapped env old_ptr;
-      true
-    end
-    else begin
-      Env.end_publish env new_ptr;
-      wf_give_back env new_ptr;
-      false
-    end
-  end
-  else begin
-    rc_incr_for_publish env new_ptr;
-    if
-      Dcas.dcas (Env.dcas env) ptr_cell val_cell ~old0:old_ptr ~old1:old_val
-        ~new0:new_ptr ~new1:new_val
-    then begin
-      Env.end_publish env new_ptr;
-      destroy env old_ptr;
-      true
-    end
-    else begin
-      Env.end_publish env new_ptr;
-      destroy env new_ptr;
-      false
-    end
-  end
+  let (module M) = Env.rc env in
+  M.publish env new_ptr;
+  resolve env ~cell:ptr_cell ~oldv:old_ptr ~newv:new_ptr
+    (Dcas.dcas (Env.dcas env) ptr_cell val_cell ~old0:old_ptr ~old1:old_val
+       ~new0:new_ptr ~new1:new_val)
 
 (* Finish a destroy whose owner crashed after taking the count to zero
    (used by crash recovery). Under the slot-nulling discipline every
    committed child drop also nulled its slot, so the husk's remaining
    non-null slots are exactly the drops never committed: perform each
-   one, then free the husk. In wait-free mode each claimed child's slot
-   weight moves to the adopter's pouch before its drop commits, so the
-   weight ledger balances exactly as in a live teardown. *)
+   one, then free the husk. *)
 let finish_teardown env p =
+  let (module M) = Env.rc env in
   let heap = Env.heap env in
   for i = 0 to Heap.n_ptr_slots heap p - 1 do
     let cell = Heap.ptr_cell heap p i in
     let child = Cell.get cell in
-    if child <> null then
-      if Env.wf_on env then begin
-        Env.begin_destroy env child;
-        let ws = Env.wf_slot_take env ~cell in
-        Env.wf_pool_add env ~addr:child ~w:ws ~n:1;
-        Cell.set cell null;
-        wf_commit_drop env child
-      end
-      else begin
-        Cell.set cell null;
-        destroy env child
-      end
+    if child <> null then M.orphan env ~cell child
   done;
   free_obj env "lfrc.frees" p
 

@@ -18,9 +18,13 @@
     internal loop re-runs only if a shared value changed, and whichever
     thread changed it completed an operation.
 
+    Each operation is written once; how a count adjustment reaches the
+    heap is the environment's count-delivery module ({!Rc_mode.S}:
+    {!Eager}, {!Deferred} or {!Wait_free}).
+
     Under {!Env.Wait_free} the count path is stronger than lock-free:
     the count word holds the object's total {e weight} (every live
-    reference carries part of it — heap slots in the environment's slot
+    reference carries part of it — heap slots in {!Wait_free}'s slot
     table, locals pooled per-thread), copy and destroy adjust it with a
     single {!Lfrc_atomics.Dcas.fetch_add} (no retry loop — [rc_retry]
     is exactly 0), and the Figure-2 DCAS survives only as {!load}'s
@@ -123,20 +127,23 @@ val pump_deferred : Env.t -> budget:int -> int
 
 val flush : Env.t -> int
 (** Settle all deferred work: apply every parked deferred-rc delta
-    (when the environment was created with [rc_epoch > 0]), freeing the
-    objects whose net count lands at zero, then drain the
-    deferred-destroy queue completely ([pump_deferred ~budget:(-1)]).
-    Returns how many objects were freed. Surviving threads call this
-    after a peer crashes — and the chaos runner forces it before an
-    audit — so parked deltas and deferred garbage do not masquerade as
-    leaks. *)
+    (when the environment runs [Deferred_rc]), freeing the objects whose
+    net count lands at zero, then drain the deferred-destroy queue
+    completely ([pump_deferred ~budget:(-1)]). Returns how many objects
+    were freed. *)
+
+val settle : Env.t -> unit
+(** Land the count adjustments the environment's mode holds back — the
+    parked deltas of [Deferred_rc] — and do nothing in the other modes.
+    Surviving threads call this after a peer crashes, the chaos runner
+    forces it before an audit and a finished operation context forces
+    it, so parked deltas do not masquerade as leaks. *)
 
 val finish_teardown : Env.t -> ptr -> unit
 (** Finish a teardown whose owner crashed after taking the count to zero
-    (crash recovery's adoption path): commit the drop of every child
-    still in a slot — in wait-free mode claiming each slot's carried
-    weight first — then free the husk. Callable only on a live object
-    whose count is zero. *)
+    (crash recovery's adoption path): drop every child still in a slot
+    ({!Rc_mode.S.orphan}), then free the husk. Callable only on a live
+    object whose count is zero. *)
 
 val with_locals : Env.t -> int -> (ptr ref array -> 'a) -> 'a
 (** [with_locals env n f] runs [f] with [n] null-initialized local pointer
@@ -148,3 +155,17 @@ val read_ptr : Env.t -> Lfrc_simmem.Cell.t -> ptr
     is **not** an LFRC operation: the value is unprotected and must only
     be used for comparisons (never dereferenced). Exposed for baselines
     and diagnostics. *)
+
+(** {2 For count-delivery modes} *)
+
+val commit_drop : Env.t -> ptr -> unit
+(** Commit one drop of [p] (non-null) whose destroy-registry entry the
+    caller already placed, per the destroy policy: release one
+    reference and tear [p] down if it died. *)
+
+val destroy_registered : Env.t -> ptr -> unit
+(** {!commit_drop}, counted as an [lfrc.destroy]. *)
+
+val released : Env.t -> ptr -> bool -> bool
+(** [released env p died] ends a mode's {!Rc_mode.S.release}: it tells
+    the sanitizer of a death, or consumes a survivor's registration. *)

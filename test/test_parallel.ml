@@ -4,7 +4,8 @@
    interleave preemptively, exercising the real atomics.
 
    Each test checks value conservation and, for LFRC structures, that
-   quiescent teardown leaves an empty heap with exact counts. The
+   quiescent teardown leaves an empty heap with exact counts; the Treiber,
+   Michael-Scott and skip-list cases also run in deferred-rc mode. The
    per-thread crash registries and the substrate's per-domain counters
    are written by their owners without a lock; the tests below check they
    come out empty and exact once the domains are joined. *)
@@ -27,9 +28,11 @@ let checkb = Alcotest.(check bool)
 let n_domains = 3
 let ops_per_domain = 2_000
 
-let fresh name =
+let fresh ?rc_mode name =
   let heap = Heap.create ~name () in
-  (Env.create ~dcas_impl:Lfrc_atomics.Dcas.Striped_lock heap, heap)
+  (Env.create ~dcas_impl:Lfrc_atomics.Dcas.Striped_lock ?rc_mode heap, heap)
+
+let deferred_rc = Env.Deferred_rc { epoch = 64 }
 
 let sum_range a b = (a + b) * (b - a + 1) / 2
 
@@ -44,8 +47,8 @@ let check_quiescent name env heap =
 
 (* Each domain pushes a disjoint range and pops whatever it can; after
    joining, drain the rest: pushed sum must equal popped sum. *)
-let test_treiber_domains () =
-  let env, heap = fresh "par-treiber" in
+let test_treiber_domains ?rc_mode () =
+  let env, heap = fresh ?rc_mode "par-treiber" in
   let s = Treiber.create env in
   let popped = Atomic.make 0 in
   let worker d () =
@@ -84,8 +87,8 @@ let test_treiber_domains () =
   Report.assert_no_leaks heap;
   checki "counts exact at quiescence" 0 (List.length (Report.check_rc_exact heap))
 
-let test_msqueue_domains () =
-  let env, heap = fresh "par-msq" in
+let test_msqueue_domains ?rc_mode () =
+  let env, heap = fresh ?rc_mode "par-msq" in
   let q = Msq.create env in
   let popped = Atomic.make 0 in
   let per_thread_order_ok = Atomic.make 1 in
@@ -141,8 +144,8 @@ let test_msqueue_domains () =
 (* Each domain inserts and removes keys of its own residue class while
    probing every key; the final set must be exactly the union of the
    domains' own models. *)
-let test_skiplist_domains () =
-  let env, heap = fresh "par-skip" in
+let test_skiplist_domains ?rc_mode () =
+  let env, heap = fresh ?rc_mode "par-skip" in
   let s = Skip.create env in
   let keys = 256 in
   let worker d () =
@@ -317,6 +320,12 @@ let () =
           Alcotest.test_case "locked deque" `Slow test_locked_deque_domains;
           Alcotest.test_case "raw lfrc ops" `Slow test_lfrc_ops_domains;
           Alcotest.test_case "skip list" `Slow test_skiplist_domains;
+          Alcotest.test_case "treiber stack (deferred-rc)" `Slow
+            (test_treiber_domains ~rc_mode:deferred_rc);
+          Alcotest.test_case "michael-scott queue (deferred-rc)" `Slow
+            (test_msqueue_domains ~rc_mode:deferred_rc);
+          Alcotest.test_case "skip list (deferred-rc)" `Slow
+            (test_skiplist_domains ~rc_mode:deferred_rc);
           Alcotest.test_case "dcas counters per domain" `Slow
             test_dcas_counters_domains;
         ] );
