@@ -1,9 +1,7 @@
 module Cell = Lfrc_simmem.Cell
 module Sched = Lfrc_sched.Sched
 module Owned = Lfrc_sched.Owned
-module Metrics = Lfrc_obs.Metrics
-module Tracer = Lfrc_obs.Tracer
-module Profile = Lfrc_obs.Profile
+module Obs = Lfrc_obs.Obs
 module Blame = Lfrc_obs.Blame
 module Shadow = Lfrc_sanitize.Shadow
 
@@ -44,10 +42,7 @@ type t = {
   stripes : Mutex.t array; (* used by Striped_lock only *)
   mutable injector : injector option;
   blocks : int array Owned.t;
-  mutable metrics : Metrics.t;
-  mutable tracer : Tracer.t;
-  mutable profile : Profile.t;
-  mutable blame : Blame.t; (* contention causality; one branch when off *)
+  mutable obs : Obs.t; (* one branch per sink when off *)
   mutable san : Shadow.t; (* shadow-memory sanitizer; one branch when off *)
 }
 
@@ -59,10 +54,7 @@ let create kind =
     stripes = Array.init n_stripes (fun _ -> Mutex.create ());
     injector = None;
     blocks = Owned.create (fun () -> Array.make n_slots 0);
-    metrics = Metrics.disabled;
-    tracer = Tracer.disabled;
-    profile = Profile.disabled;
-    blame = Blame.disabled;
+    obs = Obs.disabled;
     san = Shadow.disabled;
   }
 
@@ -72,13 +64,29 @@ let bump t k =
 
 let set_injector t i = t.injector <- i
 
-let attach_obs ?(profile = Profile.disabled) ?(blame = Blame.disabled) t
-    ~metrics ~tracer =
-  t.metrics <- metrics;
-  t.tracer <- tracer;
-  t.profile <- profile;
-  t.blame <- blame;
-  if t.kind = Software_mcas then Mcas.set_metrics metrics
+(* The registry's view of the blocks: slots 0..8 in slot order. Software
+   MCAS runs one MCAS per non-spurious DCAS attempt, so its success and
+   failure counts follow. The closure holds the blocks only. *)
+let series_names =
+  [| "dcas.reads"; "dcas.writes"; "dcas.rmw"; "dcas.cas_attempts";
+     "dcas.cas_failures"; "dcas.dcas_attempts"; "dcas.dcas_failures";
+     "dcas.spurious_cas"; "dcas.spurious_dcas" |]
+
+let series blocks mcas () =
+  let sum k = Owned.fold (fun n b -> n + b.(k)) blocks 0 in
+  let counts =
+    List.init (Array.length series_names) (fun k -> (series_names.(k), sum k))
+  in
+  if not mcas then counts
+  else
+    let n = sum k_dcas and fail = sum k_dcas_fail and sp = sum k_sp_dcas in
+    ("mcas.attempt", n - sp) :: ("mcas.success", n - fail)
+    :: ("mcas.fail", fail - sp) :: counts
+
+let attach_obs t (obs : Obs.t) =
+  if obs.metrics != t.obs.metrics then
+    Obs.add_counters obs (series t.blocks (t.kind = Software_mcas));
+  t.obs <- obs
 
 let attach_sanitizer t san = t.san <- san
 
@@ -136,7 +144,6 @@ let with_two_stripes t c0 c1 old0 old1 new0 new1 =
 let read t c =
   Sched.point ();
   bump t k_reads;
-  Metrics.incr t.metrics "dcas.reads";
   let v =
     match t.kind with
     | Atomic_step | Striped_lock -> Cell.get c
@@ -148,7 +155,6 @@ let read t c =
 let write t c v =
   Sched.point ();
   bump t k_writes;
-  Metrics.incr t.metrics "dcas.writes";
   (match t.kind with
   | Atomic_step -> Cell.set c v
   | Striped_lock -> with_stripe t c (fun c v () -> Cell.set c v) v ()
@@ -157,7 +163,7 @@ let write t c v =
       let rec go () = if not (Mcas.cas c (Mcas.read c) v) then go () in
       go ());
   Shadow.on_write t.san c v;
-  Blame.stamp t.blame Blame.Write (Cell.id c)
+  Obs.stamp t.obs Blame.Write (Cell.id c)
 
 (* One attempt; a failure extends the current streak. *)
 let count t ~n ~fail ~streak ~top ok =
@@ -173,12 +179,7 @@ let count t ~n ~fail ~streak ~top ok =
 let count_cas t ok =
   count t ~n:k_cas ~fail:k_cas_fail ~streak:k_cas_streak ~top:k_cas_streak_max
     ok;
-  Metrics.incr t.metrics "dcas.cas_attempts";
-  if not ok then begin
-    Metrics.incr t.metrics "dcas.cas_failures";
-    Tracer.emit t.tracer Retry "cas";
-    Profile.dcas_retry t.profile
-  end;
+  if not ok then Obs.dcas_retry t.obs "cas";
   ok
 
 (* A spurious failure reports false without comparing or writing anything —
@@ -188,8 +189,7 @@ let spurious_cas t =
   match t.injector with
   | Some i when i.inject_cas () ->
       bump t k_sp_cas;
-      Metrics.incr t.metrics "dcas.spurious_cas";
-      Tracer.emit t.tracer Fault "spurious-cas";
+      Obs.fault t.obs "spurious-cas";
       ignore (count_cas t false);
       true
   | _ -> false
@@ -198,15 +198,14 @@ let spurious_dcas t =
   match t.injector with
   | Some i when i.inject_dcas () ->
       bump t k_sp_dcas;
-      Metrics.incr t.metrics "dcas.spurious_dcas";
-      Tracer.emit t.tracer Fault "spurious-dcas";
+      Obs.fault t.obs "spurious-dcas";
       true
   | _ -> false
 
 let cas t c old_v new_v =
   Sched.point ();
   if spurious_cas t then begin
-    Blame.charge_spurious t.blame Blame.Cas;
+    Obs.charge_spurious t.obs Blame.Cas;
     false
   end
   else begin
@@ -217,15 +216,14 @@ let cas t c old_v new_v =
       | Software_mcas -> Mcas.cas c old_v new_v
     in
     Shadow.on_cas t.san c ~old_v ~new_v ~ok;
-    if ok then Blame.stamp t.blame Blame.Cas (Cell.id c)
-    else Blame.charge t.blame Blame.Cas (Cell.id c);
+    if ok then Obs.stamp t.obs Blame.Cas (Cell.id c)
+    else Obs.charge t.obs Blame.Cas (Cell.id c);
     count_cas t ok
   end
 
 let fetch_add t c d =
   Sched.point ();
   bump t k_rmw;
-  Metrics.incr t.metrics "dcas.rmw";
   let v =
     match t.kind with
     | Atomic_step -> Cell.fetch_and_add c d
@@ -239,24 +237,19 @@ let fetch_add t c d =
         go ()
   in
   Shadow.on_rmw t.san c;
-  Blame.stamp t.blame Blame.Rmw (Cell.id c);
+  Obs.stamp t.obs Blame.Rmw (Cell.id c);
   v
 
 let count_dcas t ok =
   count t ~n:k_dcas ~fail:k_dcas_fail ~streak:k_dcas_streak
     ~top:k_dcas_streak_max ok;
-  Metrics.incr t.metrics "dcas.dcas_attempts";
-  if not ok then begin
-    Metrics.incr t.metrics "dcas.dcas_failures";
-    Tracer.emit t.tracer Retry "dcas";
-    Profile.dcas_retry t.profile
-  end;
+  if not ok then Obs.dcas_retry t.obs "dcas";
   ok
 
 let dcas t c0 c1 ~old0 ~old1 ~new0 ~new1 =
   Sched.point ();
   if spurious_dcas t then begin
-    Blame.charge_spurious t.blame Blame.Dcas;
+    Obs.charge_spurious t.obs Blame.Dcas;
     count_dcas t false
   end
   else begin
@@ -267,10 +260,10 @@ let dcas t c0 c1 ~old0 ~old1 ~new0 ~new1 =
       | Software_mcas -> Mcas.dcas c0 c1 old0 old1 new0 new1
     in
     Shadow.on_dcas t.san c0 c1 ~old0 ~old1 ~new0 ~new1 ~ok;
-    if Blame.enabled t.blame then
+    if Blame.enabled t.obs.blame then
       if ok then begin
-        Blame.stamp t.blame Blame.Dcas (Cell.id c0);
-        Blame.stamp t.blame Blame.Dcas (Cell.id c1)
+        Obs.stamp t.obs Blame.Dcas (Cell.id c0);
+        Obs.stamp t.obs Blame.Dcas (Cell.id c1)
       end
       else begin
         (* The culprit cell is whichever word failed its compare; a raw
@@ -280,7 +273,7 @@ let dcas t c0 c1 ~old0 ~old1 ~new0 ~new1 =
         let cid =
           if Cell.get c0 <> old0 then Cell.id c0 else Cell.id c1
         in
-        Blame.charge t.blame Blame.Dcas cid
+        Obs.charge t.obs Blame.Dcas cid
       end;
     count_dcas t ok
   end

@@ -55,8 +55,8 @@ type counters = {
   reads : int;
   writes : int;
   rmw_ops : int;
-      (** fetch-and-add operations — the wait-free weighted-rc hot path;
-          also counted as [dcas.rmw] in an attached metrics registry *)
+      (** fetch-and-add operations — the wait-free weighted-rc hot path
+          ([dcas.rmw] in an attached metrics registry) *)
   cas_attempts : int;
   cas_failures : int;
   dcas_attempts : int;
@@ -102,26 +102,29 @@ val set_injector : t -> injector option -> unit
 
 (** {2 Observability}
 
-    With an attached metrics registry, every attempt/failure/spurious
-    event also lands in [dcas.*] counters; with an attached tracer, each
-    failed attempt emits a [Retry] event and each injected failure a
-    [Fault] event; with an attached profiler, each failed attempt is
-    charged to the innermost operation frame open on the failing thread
-    ({!Lfrc_obs.Profile.dcas_retry}); with an attached blame registry,
-    each successful write/CAS/DCAS/RMW stamps its cell(s) with the winner
-    and each failed compare is charged to the stamped culprit
-    ({!Lfrc_obs.Blame}) — on a failed DCAS the culprit is whichever word
-    failed its compare. Detached (the default) the cost is one branch per
-    event. {!Lfrc_core.Env.create} attaches its environment's
-    observability here. *)
+    The attached spine ({!Lfrc_obs.Obs}) gets every failed attempt as a
+    [Retry] tracer event charged to the innermost op frame open on the
+    failing thread ({!Lfrc_obs.Obs.dcas_retry}) and every injected
+    failure as a [Fault] event; with blame on, each successful
+    write/CAS/DCAS/RMW stamps its cell(s) with the winner and each failed
+    compare is charged to the stamped culprit ({!Lfrc_obs.Blame}) — on a
+    failed DCAS the culprit is whichever word failed its compare.
 
-val attach_obs :
-  ?profile:Lfrc_obs.Profile.t ->
-  ?blame:Lfrc_obs.Blame.t ->
-  t ->
-  metrics:Lfrc_obs.Metrics.t ->
-  tracer:Lfrc_obs.Tracer.t ->
-  unit
+    Operations are counted once, in the per-domain blocks behind
+    {!counters}. Attaching a bundle whose metrics registry is enabled
+    makes that registry read the [dcas.*] series ([dcas.reads],
+    [dcas.writes], [dcas.rmw], [dcas.cas_attempts], [dcas.cas_failures],
+    [dcas.dcas_attempts], [dcas.dcas_failures], [dcas.spurious_cas],
+    [dcas.spurious_dcas]) from these blocks at snapshot — and, for
+    [Software_mcas], [mcas.attempt]/[mcas.success]/[mcas.fail], which are
+    the non-spurious DCAS attempts, the successes and the non-spurious
+    failures. Zero series are left out, so a snapshot lists what
+    happened. The counts run from {!create} (or {!reset_counters}), so
+    attach before the first operation, as
+    {!Lfrc_core.Env.create} does. Detached (the default) the cost is one
+    branch per event. *)
+
+val attach_obs : t -> Lfrc_obs.Obs.t -> unit
 
 val attach_sanitizer : t -> Lfrc_sanitize.Shadow.t -> unit
 (** Route every read/write/CAS/DCAS through the shadow-memory sanitizer's

@@ -54,10 +54,3 @@ val adopt_slot : int -> int
     many descriptors actually needed helping. *)
 
 val max_entries : int
-
-val set_metrics : Lfrc_obs.Metrics.t -> unit
-(** Attach a metrics registry to the module-wide counters
-    [mcas.attempt] / [mcas.success] / [mcas.fail] (MCAS has no instance
-    handle, so — like the descriptor pools — observability is global).
-    {!Dcas.attach_obs} calls this automatically when the substrate is
-    [Software_mcas]; defaults to the disabled registry. *)

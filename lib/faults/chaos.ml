@@ -60,12 +60,12 @@ let run ?(max_steps = 2_000_000) ?(policy = Env.Iterative) ?(rc_mode = Env.Eager
   let audit, audit_advisory, recovery =
     match status with
     | Completed { crashed; _ } ->
-        (* Crashed threads' pending blame state (open op frames, open
-           retry chains) is adopted into the aggregates, mirroring the
-           recovery pass's orphan adoption — blamed work is never leaked
-           with its thread. *)
+        (* Crashed threads' open op frames leave the spine and, with
+           their open retry chains, are adopted into the blame
+           aggregates, mirroring the recovery pass's orphan adoption —
+           blamed work is never leaked with its thread. *)
         if crashed <> [] then
-          ignore (Lfrc_obs.Blame.adopt (Env.blame env) ~crashed);
+          ignore (Lfrc_obs.Obs.adopt (Env.obs env) ~crashed);
         let recovery =
           if recover && crashed <> [] then Some (Recovery.run env ~crashed)
           else None

@@ -23,7 +23,7 @@ let null = Heap.null
 let run env ~crashed =
   let heap = Env.heap env in
   let metrics = Env.metrics env in
-  let lineage = Env.lineage env in
+  let lineage = (Env.obs env).lineage in
   let live_before = Heap.live_count heap in
 
   (* 1. Count-delivery state first (the mode's [adopt]): deferred-rc

@@ -50,6 +50,10 @@ type verdict = {
 
 let ok v = v.regressions = [] && v.counter_drift = [] && v.hist_drift = []
 
+(* Report-only mode forgives wall-clock noise, never a behaviour change. *)
+let passes ~report_only v =
+  ok v || (report_only && v.counter_drift = [] && v.hist_drift = [])
+
 let workloads doc =
   match Option.bind (J.member "workloads" doc) J.to_list with
   | Some l -> l

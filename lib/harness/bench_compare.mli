@@ -60,6 +60,12 @@ val ok : verdict -> bool
 (** No regression, no counter drift, no histogram drift. New
     workloads/counters/histograms do not affect [ok]. *)
 
+val passes : report_only:bool -> verdict -> bool
+(** The gate's answer: {!ok}, except that [report_only] forgives ops/sec
+    regressions — wall-clock is noisy — and only them. Counter and
+    histogram-[n] drift are deterministic behaviour changes and fail in
+    either mode. *)
+
 val render :
   threshold:float -> current_file:string -> baseline_file:string -> verdict -> string
 (** The comparison table plus drift sections and the final PASS/FAIL

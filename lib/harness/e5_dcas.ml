@@ -21,7 +21,7 @@ module Table = Lfrc_util.Table
 
 let wall_row table impl ~iters ~metrics ~tracer ~profile ~blame =
   let d = Dcas.create impl in
-  Dcas.attach_obs d ~metrics ~tracer ~profile ~blame;
+  Dcas.attach_obs d (Lfrc_obs.Obs.make ~metrics ~tracer ~profile ~blame ());
   let c0 = Cell.make 1 and c1 = Cell.make 2 in
   let ns =
     Common.time_per_op_ns ~iters (fun () ->
@@ -32,7 +32,7 @@ let wall_row table impl ~iters ~metrics ~tracer ~profile ~blame =
 let contended_row table impl ~threads ~per_thread ~seed ~metrics ~tracer
     ~profile ~blame =
   let d = Dcas.create impl in
-  Dcas.attach_obs d ~metrics ~tracer ~profile ~blame;
+  Dcas.attach_obs d (Lfrc_obs.Obs.make ~metrics ~tracer ~profile ~blame ());
   let steps = ref 0 in
   let body () =
     let c0 = Cell.make 0 and c1 = Cell.make 0 in

@@ -3,8 +3,6 @@ module Layout = Lfrc_simmem.Layout
 module Sched = Lfrc_sched.Sched
 module Strategy = Lfrc_sched.Strategy
 module Rng = Lfrc_util.Rng
-module Metrics = Lfrc_obs.Metrics
-module Profile = Lfrc_obs.Profile
 module Lineage = Lfrc_obs.Lineage
 module Shadow = Lfrc_sanitize.Shadow
 module Env = Lfrc_core.Env
@@ -129,14 +127,11 @@ let merge_sites acc sites =
 
 let run_under ?rc_mode ~structure ~strategy ~seed body =
   let token = Strategy.describe strategy in
-  let metrics = Metrics.create () in
-  let profile = Profile.create ~metrics () in
   let lineage = Lineage.create ~ring:128 () in
   let sanitize = Shadow.create () in
   let heap = Heap.create ~name:("sanitize:" ^ structure) () in
   let env =
-    Env.create ~dcas_impl:Dcas.Atomic_step ?rc_mode ~metrics ~profile
-      ~lineage ~sanitize heap
+    Env.create ~dcas_impl:Dcas.Atomic_step ?rc_mode ~lineage ~sanitize heap
   in
   ignore (Sched.run ~max_steps:4_000_000 strategy (fun () -> body ~seed env));
   let witnesses =

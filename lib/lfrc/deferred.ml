@@ -21,6 +21,7 @@ module Cell = Lfrc_simmem.Cell
 module Dcas = Lfrc_atomics.Dcas
 module Metrics = Lfrc_obs.Metrics
 module Lineage = Lfrc_obs.Lineage
+module Obs = Lfrc_obs.Obs
 
 module Make (P : sig
   val epoch : int
@@ -184,7 +185,8 @@ struct
       let metrics = Env.metrics env in
       let heap = Env.heap env in
       let d = Env.dcas env in
-      let ln = Env.lineage env in
+      let obs = Env.obs env in
+      let ln = obs.lineage in
       let freed = ref 0 in
       Fun.protect ~finally:end_flush @@ fun () ->
       Metrics.incr metrics "lfrc.rc_flush";
@@ -197,7 +199,7 @@ struct
       let rec apply addr =
         if addr <> Heap.null then begin
           let rc = Heap.rc_cell heap addr in
-          Lfrc_obs.Blame.bind_owner (Env.blame env) ~cell:(Cell.id rc) ~addr;
+          Lfrc_obs.Blame.bind_owner obs.blame ~cell:(Cell.id rc) ~addr;
           let oldrc = Dcas.read d rc in
           (* Fold in anything parked up to this instant so the CAS below
              applies the complete net and a success at zero means zero
@@ -247,8 +249,7 @@ struct
             end
             else begin
               Metrics.incr metrics "lfrc.rc_retry";
-              Lfrc_obs.Tracer.emit (Env.tracer env) Retry "lfrc.rc_retry";
-              Lfrc_obs.Profile.op_retry (Env.profile env);
+              Obs.retry obs "lfrc.rc_retry";
               apply addr
             end
           end
@@ -280,8 +281,8 @@ struct
   let park_one env p delta =
     Metrics.incr (Env.metrics env)
       (if delta > 0 then "lfrc.defer_inc" else "lfrc.defer_dec");
-    Lineage.record (Env.lineage env) ~addr:p
-      (if delta > 0 then Lineage.Defer_inc else Lineage.Defer_dec);
+    Obs.record (Env.obs env) ~addr:p
+      (if delta > 0 then Defer_inc else Defer_dec);
     park ~addr:p ~delta
 
   let settle_due env parked =

@@ -67,11 +67,7 @@ type t = {
   env_rc : rc;
   env_gc_threshold : int;
   mutable env_incremental : (Lfrc_simmem.Gc_incr.t * int) option;
-  env_metrics : Lfrc_obs.Metrics.t;
-  env_tracer : Lfrc_obs.Tracer.t;
-  env_lineage : Lfrc_obs.Lineage.t;
-  env_profile : Lfrc_obs.Profile.t;
-  env_blame : Lfrc_obs.Blame.t;
+  env_obs : Lfrc_obs.Obs.t;
   env_sanitizer : Lfrc_sanitize.Shadow.t;
   env_symbolic : bool;
 }
@@ -79,11 +75,7 @@ type t = {
 and rc = (module Rc_mode.S with type env = t)
 
 let create_with instantiate ?dcas_impl ?(policy = Iterative) ?(rc_mode = Eager)
-    ?(gc_threshold = 0)
-    ?(metrics = Lfrc_obs.Metrics.disabled) ?(tracer = Lfrc_obs.Tracer.disabled)
-    ?(lineage = Lfrc_obs.Lineage.disabled)
-    ?(profile = Lfrc_obs.Profile.disabled)
-    ?(blame = Lfrc_obs.Blame.disabled)
+    ?(gc_threshold = 0) ?metrics ?tracer ?lineage ?profile ?blame
     ?(sanitize = Lfrc_sanitize.Shadow.disabled) ?(symbolic = false) heap =
   let rc_mode =
     match rc_mode with
@@ -99,19 +91,24 @@ let create_with instantiate ?dcas_impl ?(policy = Iterative) ?(rc_mode = Eager)
         else Lfrc_atomics.Dcas.Striped_lock
   in
   let d = Lfrc_atomics.Dcas.create impl in
+  let san_on = Lfrc_sanitize.Shadow.enabled sanitize in
+  let obs =
+    Lfrc_obs.Obs.make ~frames:san_on ?metrics ?tracer ?lineage ?profile ?blame
+      ()
+  in
+  let { Lfrc_obs.Obs.metrics; tracer; lineage; blame; _ } = obs in
   (* A blame registry may outlive several environments; cell ids restart
      per heap, so stale stamps must be dropped before they can be blamed
      for this run's failures. *)
   Lfrc_obs.Blame.new_run blame;
-  Lfrc_atomics.Dcas.attach_obs ~profile ~blame d ~metrics ~tracer;
-  Lfrc_sanitize.Shadow.attach sanitize ~heap ~metrics ~tracer ~profile;
+  Lfrc_atomics.Dcas.attach_obs d obs;
+  Lfrc_sanitize.Shadow.attach sanitize ~heap obs;
   Lfrc_atomics.Dcas.attach_sanitizer d sanitize;
   let obs_on =
     Lfrc_obs.Metrics.enabled metrics
     || Lfrc_obs.Tracer.enabled tracer
     || Lfrc_obs.Lineage.enabled lineage
   in
-  let san_on = Lfrc_sanitize.Shadow.enabled sanitize in
   if obs_on || san_on then
     Lfrc_simmem.Heap.set_observer heap
       (Some
@@ -121,14 +118,12 @@ let create_with instantiate ?dcas_impl ?(policy = Iterative) ?(rc_mode = Eager)
              | Lfrc_simmem.Heap.Obs_alloc { p; gen; live } ->
                  Lfrc_obs.Metrics.incr metrics "heap.allocs";
                  Lfrc_obs.Metrics.set_gauge metrics "heap.live" live;
-                 Lfrc_obs.Lineage.record lineage ~addr:p
-                   (Lfrc_obs.Lineage.Alloc { gen })
+                 Lfrc_obs.Obs.record obs ~addr:p (Alloc { gen })
              | Lfrc_simmem.Heap.Obs_free { p; gen; live } ->
                  Lfrc_obs.Metrics.incr metrics "heap.frees";
                  Lfrc_obs.Metrics.set_gauge metrics "heap.live" live;
                  Lfrc_obs.Tracer.emit tracer ~arg:p Free "free";
-                 Lfrc_obs.Lineage.record lineage ~addr:p
-                   (Lfrc_obs.Lineage.Free { gen }));
+                 Lfrc_obs.Obs.record obs ~addr:p (Free { gen }));
            Lfrc_sanitize.Shadow.on_heap_event sanitize ev));
   {
     env_heap = heap;
@@ -146,11 +141,7 @@ let create_with instantiate ?dcas_impl ?(policy = Iterative) ?(rc_mode = Eager)
     env_rc = instantiate rc_mode;
     env_gc_threshold = gc_threshold;
     env_incremental = None;
-    env_metrics = metrics;
-    env_tracer = tracer;
-    env_lineage = lineage;
-    env_profile = profile;
-    env_blame = blame;
+    env_obs = obs;
     env_sanitizer = sanitize;
     env_symbolic = symbolic;
   }
@@ -160,11 +151,8 @@ let dcas t = t.env_dcas
 let symbolic t = t.env_symbolic
 let policy t = t.env_policy
 let gc_threshold t = t.env_gc_threshold
-let metrics t = t.env_metrics
-let tracer t = t.env_tracer
-let lineage t = t.env_lineage
-let profile t = t.env_profile
-let blame t = t.env_blame
+let obs t = t.env_obs
+let metrics t = t.env_obs.metrics
 let sanitizer t = t.env_sanitizer
 
 let set_incremental t ~collector ~budget =
@@ -177,8 +165,8 @@ let defer t p =
   Queue.add p t.pending;
   let depth = Queue.length t.pending in
   Mutex.unlock t.pending_lock;
-  Lfrc_obs.Metrics.incr t.env_metrics "lfrc.deferred";
-  Lfrc_obs.Metrics.set_gauge t.env_metrics "lfrc.deferred_depth" depth
+  Lfrc_obs.Metrics.incr t.env_obs.metrics "lfrc.deferred";
+  Lfrc_obs.Metrics.set_gauge t.env_obs.metrics "lfrc.deferred_depth" depth
 
 let pop_deferred t =
   Mutex.lock t.pending_lock;
@@ -186,7 +174,7 @@ let pop_deferred t =
   let depth = Queue.length t.pending in
   Mutex.unlock t.pending_lock;
   if p <> None then
-    Lfrc_obs.Metrics.set_gauge t.env_metrics "lfrc.deferred_depth" depth;
+    Lfrc_obs.Metrics.set_gauge t.env_obs.metrics "lfrc.deferred_depth" depth;
   p
 
 let deferred_pending t =

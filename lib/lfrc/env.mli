@@ -75,27 +75,25 @@ val create_with :
     [rc_mode] (default [Eager]) selects the count-delivery mode; see
     {!type:rc_mode}.
 
-    [blame] (default disabled, one branch per event) wires the contention
-    causality layer: the DCAS substrate stamps every successful write and
-    charges every failed compare to its stamped culprit, and {!Lfrc}
-    binds reference-count cells to their owning object so rc contention
-    is named. Attaching a registry calls {!Lfrc_obs.Blame.new_run} first:
+    [metrics], [tracer], [lineage], [profile] and [blame] default to
+    their disabled singletons and are bundled into one
+    {!Lfrc_obs.Obs.t} — the observability spine, with this
+    environment's own per-thread stack of open op frames — chosen here
+    once, so every instrumented hot path below pays a single branch per
+    sink when observability is off. The bundle is wired to the DCAS
+    substrate ({!Lfrc_atomics.Dcas.attach_obs}, which also lets an
+    enabled [metrics] registry read the substrate's [dcas.*] counts),
+    the heap's alloc/free observer ({!Lfrc_simmem.Heap.set_observer}),
+    the deferred-destroy queue and {!Lfrc}'s operations. Sharing one
+    registry across several environments aggregates their series.
+    Attaching a [blame] registry calls {!Lfrc_obs.Blame.new_run} first:
     cell ids restart per heap, so stamps must not leak across
     environments (aggregated pairs survive).
 
-    [metrics], [tracer], [lineage] and [profile] default to the disabled
-    singletons — the no-op
-    observability implementations, chosen here once so every instrumented
-    hot path below pays a single branch when observability is off.
-    Passing enabled instances wires the whole environment: the DCAS
-    substrate ({!Lfrc_atomics.Dcas.attach_obs}), the heap's alloc/free
-    observer ({!Lfrc_simmem.Heap.set_observer}), the deferred-destroy
-    queue, and {!Lfrc}'s operations all report into them. Sharing one
-    registry across several environments aggregates their series.
-
     [sanitize] (default {!Lfrc_sanitize.Shadow.disabled}, one branch per
     access) wires the LFRC-San shadow-memory sanitizer: it is bound to
-    this heap and observability ({!Lfrc_sanitize.Shadow.attach}), attached
+    this heap and the spine ({!Lfrc_sanitize.Shadow.attach}), which then
+    pushes op frames so findings name their sites, attached
     to the DCAS substrate's access hooks
     ({!Lfrc_atomics.Dcas.attach_sanitizer}), fed alloc/free events through
     the heap observer, and notified by {!Lfrc}'s zero-detect paths when a
@@ -120,23 +118,12 @@ val symbolic : t -> bool
 val policy : t -> policy
 val gc_threshold : t -> int
 
+val obs : t -> Lfrc_obs.Obs.t
+(** The observability spine: the sinks this environment was created
+    with and its per-thread op frames ({!Lfrc_obs.Obs}). *)
+
 val metrics : t -> Lfrc_obs.Metrics.t
-val tracer : t -> Lfrc_obs.Tracer.t
-
-val lineage : t -> Lfrc_obs.Lineage.t
-(** The per-object lifecycle recorder ({!Lfrc_obs.Lineage}); the heap
-    observer feeds it alloc/free events and {!Lfrc} feeds it count
-    transitions, retires and deferrals. *)
-
-val profile : t -> Lfrc_obs.Profile.t
-(** The call-site contention profiler ({!Lfrc_obs.Profile}); {!Lfrc}'s
-    spans open/close frames on it and the DCAS substrate charges failed
-    attempts to the innermost frame. *)
-
-val blame : t -> Lfrc_obs.Blame.t
-(** The contention-causality registry ({!Lfrc_obs.Blame}); {!Lfrc}'s
-    spans open/close blame frames on it and bind rc cells to their
-    owners, the DCAS substrate stamps winners and charges losers. *)
+(** [(obs t).metrics]. *)
 
 val sanitizer : t -> Lfrc_sanitize.Shadow.t
 (** The LFRC-San shadow-memory sanitizer this environment was created

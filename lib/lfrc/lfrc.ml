@@ -4,8 +4,7 @@ module Layout = Lfrc_simmem.Layout
 module Dcas = Lfrc_atomics.Dcas
 module Metrics = Lfrc_obs.Metrics
 module Tracer = Lfrc_obs.Tracer
-module Lineage = Lfrc_obs.Lineage
-module Profile = Lfrc_obs.Profile
+module Obs = Lfrc_obs.Obs
 module Blame = Lfrc_obs.Blame
 module Shadow = Lfrc_sanitize.Shadow
 
@@ -22,12 +21,12 @@ exception Symbolic_bypass of string
 let guard env op = if Env.symbolic env then raise (Symbolic_bypass op)
 
 (* Observability shims. Every public operation counts itself under an
-   [lfrc.*] series and, when tracing/profiling/lineage is on, opens a span
-   that closes even on the exceptional (OOM) paths. The span name doubles
-   as the profiler call site and the lineage originating-op context, so a
-   count transition or a failed DCAS underneath always knows which
-   operation it belongs to. With observability off each shim is a single
-   branch — the policy {!Env.create} documents. *)
+   [lfrc.*] series and, when some sink reads op frames (tracer, profile,
+   lineage, blame, sanitizer), opens a span on the {!Obs} spine that
+   closes even on the exceptional (OOM) paths. The span name is the
+   frame's label, so a count transition or a failed DCAS underneath
+   always knows which operation it belongs to. With observability off
+   each shim is a single branch — the policy {!Env.create} documents. *)
 
 (* The retry loops hoist the obs-enabled check out of the loop: the
    retry *count* is staged in the loop's existing burst accumulator and
@@ -36,39 +35,20 @@ let guard env op = if Env.symbolic env then raise (Symbolic_bypass op)
    timeline, profiler frame charge) still run per retry — behind a single
    branch computed before the first attempt. With observability off a
    retry costs nothing at all. *)
-let retry_slow env counter =
-  Tracer.emit (Env.tracer env) Retry counter;
-  Profile.op_retry (Env.profile env)
-
 let per_retry_obs env =
-  Tracer.enabled (Env.tracer env) || Profile.enabled (Env.profile env)
+  let o = Env.obs env in
+  Tracer.enabled o.tracer || Lfrc_obs.Profile.enabled o.profile
 
 let record_retries env counter burst =
   if burst > 0 then Metrics.add (Env.metrics env) counter burst
 
 let span env name f =
-  Metrics.incr (Env.metrics env) name;
-  let tr = Env.tracer env
-  and pr = Env.profile env
-  and ln = Env.lineage env
-  and bl = Env.blame env in
-  if
-    not
-      (Tracer.enabled tr || Profile.enabled pr || Lineage.enabled ln
-      || Blame.enabled bl)
-  then f ()
+  let o = Env.obs env in
+  Metrics.incr o.metrics name;
+  if not o.framed then f ()
   else begin
-    Tracer.emit tr Begin name;
-    Profile.op_begin pr name;
-    Lineage.op_begin ln name;
-    Blame.op_begin bl name;
-    Fun.protect
-      ~finally:(fun () ->
-        Blame.op_end bl;
-        Lineage.op_end ln;
-        Profile.op_end pr;
-        Tracer.emit tr End name)
-      f
+    Obs.op_begin o name;
+    Fun.protect ~finally:(fun () -> Obs.op_end o name) f
   end
 
 (* add_to_rc (Figure 2, lines 16..20). The caller holds a counted
@@ -77,7 +57,7 @@ let add_to_rc env p v =
   guard env "add_to_rc";
   let rc = Heap.rc_cell (Env.heap env) p in
   let d = Env.dcas env in
-  Blame.bind_owner (Env.blame env) ~cell:(Cell.id rc) ~addr:p;
+  Blame.bind_owner (Env.obs env).blame ~cell:(Cell.id rc) ~addr:p;
   let slow = per_retry_obs env in
   let rec go burst =
     let oldrc = Dcas.read d rc in
@@ -88,11 +68,11 @@ let add_to_rc env p v =
       if burst > 0 then
         Metrics.observe (Env.metrics env) "lfrc.rc_retry"
           (float_of_int burst);
-      Lineage.record_rc (Env.lineage env) ~addr:p ~old_rc:oldrc ~delta:v ();
+      Obs.record_rc (Env.obs env) ~addr:p ~old_rc:oldrc ~delta:v;
       oldrc
     end
     else begin
-      if slow then retry_slow env "lfrc.rc_retry";
+      if slow then Obs.retry (Env.obs env) "lfrc.rc_retry";
       go (burst + 1)
     end
   in
@@ -112,7 +92,7 @@ let try_alloc env layout =
   | p -> Ok p
   | exception Heap.Simulated_oom ->
       Metrics.incr (Env.metrics env) "lfrc.alloc_oom";
-      Tracer.emit (Env.tracer env) Fault "oom";
+      Obs.fault (Env.obs env) "oom";
       Error `Out_of_memory
 
 (* Destroying the last pointer to an object frees it and destroys the
@@ -203,7 +183,7 @@ let teardown env p =
    LFRC operation frees a bounded number ([pump]), so no single operation
    pays for a long chain (paper §7, incremental collection). *)
 let defer_dead env p =
-  Lineage.record (Env.lineage env) ~addr:p Lineage.Defer;
+  Obs.record (Env.obs env) ~addr:p Defer;
   Env.defer env p
 
 let pump_deferred env ~budget =
@@ -292,7 +272,7 @@ let load env ~src ~dest =
     end
     else begin
       let rc = Heap.rc_cell (Env.heap env) a in
-      Blame.bind_owner (Env.blame env) ~cell:(Cell.id rc) ~addr:a;
+      Blame.bind_owner (Env.obs env).blame ~cell:(Cell.id rc) ~addr:a;
       let r = Dcas.read d rc in
       (* Increment the count while atomically checking that [src] still
          points at [a]: the object cannot have been freed and recycled
@@ -300,13 +280,12 @@ let load env ~src ~dest =
       if Dcas.dcas d src rc ~old0:a ~old1:r ~new0:a ~new1:(r + M.load_weight)
       then begin
         M.loaded env ~src a;
-        Lineage.record_rc (Env.lineage env) ~addr:a ~old_rc:r
-          ~delta:M.load_weight ();
+        Obs.record_rc (Env.obs env) ~addr:a ~old_rc:r ~delta:M.load_weight;
         dest := a;
         burst
       end
       else begin
-        if slow then retry_slow env "lfrc.load_retry";
+        if slow then Obs.retry (Env.obs env) "lfrc.load_retry";
         go (burst + 1)
       end
     end
@@ -335,7 +314,7 @@ let swap_in env ~dst v ~observe =
       oldval
     end
     else begin
-      if slow then retry_slow env "lfrc.store_retry";
+      if slow then Obs.retry (Env.obs env) "lfrc.store_retry";
       go (burst + 1)
     end
   in

@@ -17,7 +17,7 @@ module Heap = Lfrc_simmem.Heap
 module Cell = Lfrc_simmem.Cell
 module Dcas = Lfrc_atomics.Dcas
 module Metrics = Lfrc_obs.Metrics
-module Lineage = Lfrc_obs.Lineage
+module Obs = Lfrc_obs.Obs
 
 module Make (P : sig
   val weight : int
@@ -149,7 +149,7 @@ struct
 
   let bind_rc env p =
     let rc = Heap.rc_cell (Env.heap env) p in
-    Lfrc_obs.Blame.bind_owner (Env.blame env) ~cell:(Cell.id rc) ~addr:p;
+    Lfrc_obs.Blame.bind_owner (Env.obs env).blame ~cell:(Cell.id rc) ~addr:p;
     rc
 
   (* Load: the slot read and the weight borrow are one atomic step — the
@@ -165,7 +165,7 @@ struct
             so the borrowed unit provably covers a live reference. *)
          pool_add ~addr:a ~w:1 ~n:1;
          Metrics.incr (Env.metrics env) "lfrc.weight_borrow";
-         Lineage.record (Env.lineage env) ~addr:a Lineage.Wborrow;
+         Obs.record (Env.obs env) ~addr:a Wborrow;
          true
        end
 
@@ -190,7 +190,7 @@ struct
       (* Atomic with the add: the speculative batch is never unanchored. *)
       Env.begin_publish ~weight env p;
       Metrics.incr (Env.metrics env) "lfrc.weight_pub";
-      Lineage.record_rc (Env.lineage env) ~addr:p ~old_rc:prev ~delta:weight ()
+      Obs.record_rc (Env.obs env) ~addr:p ~old_rc:prev ~delta:weight
     end
 
   (* Copy: cover the new reference from the thread's pooled weight when
@@ -201,14 +201,14 @@ struct
     if w <> null then
       if pool_try_share ~addr:w then begin
         Metrics.incr (Env.metrics env) "lfrc.weight_share";
-        Lineage.record (Env.lineage env) ~addr:w Lineage.Wshare
+        Obs.record (Env.obs env) ~addr:w Wshare
       end
       else begin
         let prev = Dcas.fetch_add (Env.dcas env) (bind_rc env w) weight in
         (* Atomic with the add: pouch the batch before any yield. *)
         pool_add ~addr:w ~w:weight ~n:1;
         Metrics.incr (Env.metrics env) "lfrc.weight_refill";
-        Lineage.record_rc (Env.lineage env) ~addr:w ~old_rc:prev ~delta:weight ()
+        Obs.record_rc (Env.obs env) ~addr:w ~old_rc:prev ~delta:weight
       end
 
   (* A winning publish over [cell] that replaced [oldv]: claim the old
@@ -268,7 +268,7 @@ struct
          the pouch is intact). *)
       pool_remove ~addr:p;
       Metrics.incr (Env.metrics env) "lfrc.weight_release";
-      Lineage.record_rc (Env.lineage env) ~addr:p ~old_rc:prev ~delta:(-w) ();
+      Obs.record_rc (Env.obs env) ~addr:p ~old_rc:prev ~delta:(-w);
       Lfrc.released env p (prev = w)
     end
 

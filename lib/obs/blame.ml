@@ -1,3 +1,4 @@
+module Json = Lfrc_util.Json
 module Sched = Lfrc_sched.Sched
 
 (* Contention causality. Every successful shared-memory write stamps its
@@ -11,12 +12,12 @@ module Sched = Lfrc_sched.Sched
    (no yield point in between) and the simulator runs one thread at a
    time.
 
-   Sites are maintained by this module's own per-thread stack (fed by
-   the same [Lfrc.span] shim that feeds the profiler), so blame works
-   with the profiler off. Aggregation happens at charge time — nothing
-   is kept per-thread except the open-op stack and the current retry
-   chain, which is why a crashed thread's pending state is exactly
-   those two things ({!adopt} folds them in instead of dropping them).
+   Sites come from the {!Obs} spine's per-thread op stack (the caller
+   passes the innermost open label), so blame works with the profiler
+   off. Aggregation happens at charge time — nothing is kept per-thread
+   here except the current retry chain, keyed by [Sched.self]; a crashed
+   thread's open chain and its open spine frames are folded in by
+   {!adopt} instead of dropped.
 
    Off path: like every observability layer here, [Disabled] makes each
    hook a single branch. *)
@@ -71,8 +72,7 @@ type reg = {
   stamps : (int, stamp) Hashtbl.t;  (* cell id -> last successful writer *)
   owners : (int, int) Hashtbl.t;  (* cell id -> owning object (rc cells) *)
   pairs : (string * string, pair) Hashtbl.t;  (* (victim, culprit) *)
-  stacks : (int, string list ref) Hashtbl.t;  (* tid -> open op labels *)
-  chains : (int, chain) Hashtbl.t;  (* tid -> open retry chain *)
+  chains : (int, chain) Hashtbl.t;  (* Sched.self -> open retry chain *)
   chain_stats : (string, chain_stat) Hashtbl.t;  (* victim site -> stats *)
   mutable flows : int;
   mutable attributed : int;
@@ -84,7 +84,6 @@ type reg = {
 
 type t = Disabled | On of reg
 
-let unattributed_site = "(unattributed)"
 let unstamped_site = "(unstamped)"
 let injected_site = "(fault-injection)"
 
@@ -96,7 +95,6 @@ let create ?(tracer = Tracer.disabled) () =
       stamps = Hashtbl.create 256;
       owners = Hashtbl.create 256;
       pairs = Hashtbl.create 32;
-      stacks = Hashtbl.create 8;
       chains = Hashtbl.create 8;
       chain_stats = Hashtbl.create 16;
       flows = 0;
@@ -125,30 +123,7 @@ let new_run = function
       locked r (fun () ->
           Hashtbl.reset r.stamps;
           Hashtbl.reset r.owners;
-          Hashtbl.reset r.stacks;
           Hashtbl.reset r.chains)
-
-let stack_of r tid =
-  match Hashtbl.find_opt r.stacks tid with
-  | Some s -> s
-  | None ->
-      let s = ref [] in
-      Hashtbl.add r.stacks tid s;
-      s
-
-let current_site_locked r tid =
-  match Hashtbl.find_opt r.stacks tid with
-  | Some { contents = site :: _ } -> site
-  | _ -> unattributed_site
-
-let op_begin t label =
-  match t with
-  | Disabled -> ()
-  | On r ->
-      let tid = Sched.tid () in
-      locked r (fun () ->
-          let s = stack_of r tid in
-          s := label :: !s)
 
 let chain_stat_of r site =
   match Hashtbl.find_opt r.chain_stats site with
@@ -181,23 +156,19 @@ let close_chain_locked r tid ~adopted =
       if ch.ch_len > cs.cs_len_max then cs.cs_len_max <- ch.ch_len;
       cs.cs_steps_total <- cs.cs_steps_total + max 0 (ch.ch_last - ch.ch_first)
 
-let op_end t =
+(* An op that ends while its retry chain is still open gave up without a
+   winning write (a failed Lfrc.cas, an empty pop): the chain is
+   complete, close it. A chain opened by a *different* (enclosing) site
+   stays open. *)
+let op_end t ~site =
   match t with
   | Disabled -> ()
   | On r ->
-      let tid = Sched.tid () in
+      let self = Sched.self () in
       locked r (fun () ->
-          match Hashtbl.find_opt r.stacks tid with
-          | Some ({ contents = site :: rest } as s) ->
-              s := rest;
-              (* An op that ends while its retry chain is still open gave
-                 up without a winning write (a failed Lfrc.cas, an empty
-                 pop): the chain is complete, close it. A chain opened by
-                 a *different* (enclosing) site stays open. *)
-              (match Hashtbl.find_opt r.chains tid with
-              | Some ch when ch.ch_site = site ->
-                  close_chain_locked r tid ~adopted:false
-              | _ -> ())
+          match Hashtbl.find_opt r.chains self with
+          | Some ch when ch.ch_site = site ->
+              close_chain_locked r self ~adopted:false
           | _ -> ())
 
 let bind_owner t ~cell ~addr =
@@ -205,18 +176,18 @@ let bind_owner t ~cell ~addr =
   | Disabled -> ()
   | On r -> locked r (fun () -> Hashtbl.replace r.owners cell addr)
 
-let stamp t kind cell =
+let stamp t ~site kind cell =
   match t with
   | Disabled -> ()
   | On r ->
       let tid = Sched.tid () and step = Sched.steps_so_far () in
+      let self = Sched.self () in
       locked r (fun () ->
-          let site = current_site_locked r tid in
           Hashtbl.replace r.stamps cell
             { s_tid = tid; s_site = site; s_kind = kind; s_step = step };
           (* This thread just won a write: whatever it was retrying is
              through — its chain (if any) is complete. *)
-          close_chain_locked r tid ~adopted:false)
+          close_chain_locked r self ~adopted:false)
 
 let pair_of r key =
   match Hashtbl.find_opt r.pairs key with
@@ -248,24 +219,24 @@ let charge_locked r ~victim ~culprit ~kind ~steps ~owner =
       in
       Hashtbl.replace p.p_addrs addr (n + 1)
 
-let extend_chain_locked r tid ~victim ~step =
-  match Hashtbl.find_opt r.chains tid with
+let extend_chain_locked r ~victim ~step =
+  let self = Sched.self () in
+  match Hashtbl.find_opt r.chains self with
   | Some ch ->
       ch.ch_len <- ch.ch_len + 1;
       ch.ch_last <- step
   | None ->
-      Hashtbl.replace r.chains tid
+      Hashtbl.replace r.chains self
         { ch_site = victim; ch_first = step; ch_last = step; ch_len = 1 }
 
-let charge t kind cell =
+let charge t ~site:victim kind cell =
   match t with
   | Disabled -> ()
   | On r ->
       let tid = Sched.tid () and step = Sched.steps_so_far () in
       let flow =
         locked r (fun () ->
-            let victim = current_site_locked r tid in
-            extend_chain_locked r tid ~victim ~step;
+            extend_chain_locked r ~victim ~step;
             let owner = Hashtbl.find_opt r.owners cell in
             match Hashtbl.find_opt r.stamps cell with
             | Some st ->
@@ -296,51 +267,41 @@ let charge t kind cell =
 (* A spurious (injected) failure compared nothing: no write invalidated
    the attempt, the fault plan did. Charged to a reserved culprit so
    wasted-attempt totals still add up under chaos runs. *)
-let charge_spurious t kind =
+let charge_spurious t ~site:victim kind =
   match t with
   | Disabled -> ()
   | On r ->
-      let tid = Sched.tid () and step = Sched.steps_so_far () in
+      let step = Sched.steps_so_far () in
       locked r (fun () ->
-          let victim = current_site_locked r tid in
-          extend_chain_locked r tid ~victim ~step;
+          extend_chain_locked r ~victim ~step;
           r.spurious <- r.spurious + 1;
           charge_locked r ~victim ~culprit:injected_site ~kind ~steps:0
             ~owner:None)
 
-(* Fold crashed threads' pending state — open op frames and open retry
-   chains — into the aggregates instead of leaving it dangling: the
-   blame analogue of the recovery pass's orphan adoption. Idempotent per
-   thread (adopted state is removed). Returns (frames, chains) counts. *)
-let adopt t ~crashed =
+(* Fold crashed threads' pending state — the open op frames the spine
+   took off their stacks, and their open retry chains — into the
+   aggregates instead of leaving it dangling: the blame analogue of the
+   recovery pass's orphan adoption. Idempotent per thread (adopted
+   chains are removed). Returns (frames, chains) counts. *)
+let adopt t ~crashed ~frames =
   match t with
   | Disabled -> (0, 0)
   | On r ->
       locked r (fun () ->
-          let frames = ref 0 and chains = ref 0 in
+          let chains = ref 0 in
           List.iter
             (fun tid ->
-              (match Hashtbl.find_opt r.stacks tid with
-              | Some s ->
-                  frames := !frames + List.length !s;
-                  Hashtbl.remove r.stacks tid
-              | None -> ());
-              match Hashtbl.find_opt r.chains tid with
-              | Some _ ->
-                  incr chains;
-                  close_chain_locked r tid ~adopted:true
-              | None -> ())
+              if Hashtbl.mem r.chains tid then begin
+                incr chains;
+                close_chain_locked r tid ~adopted:true
+              end)
             crashed;
-          r.adopted_frames <- r.adopted_frames + !frames;
-          (!frames, !chains))
+          r.adopted_frames <- r.adopted_frames + frames;
+          (frames, !chains))
 
-let pending t =
-  match t with
+let pending = function
   | Disabled -> 0
-  | On r ->
-      locked r (fun () ->
-          Hashtbl.fold (fun _ s acc -> acc + List.length !s) r.stacks 0
-          + Hashtbl.length r.chains)
+  | On r -> locked r (fun () -> Hashtbl.length r.chains)
 
 (* --- reporting --- *)
 
@@ -580,20 +541,6 @@ let report ?(top = 10) ?namer ?lineage t =
   end;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json ?namer ?lineage t =
   let buf = Buffer.create 2048 in
   let attributed, unstamped, spurious, flows, ad_frames, ad_chains =
@@ -614,7 +561,7 @@ let to_json ?namer ?lineage t =
         (Printf.sprintf
            "{\"victim\":\"%s\",\"culprit\":\"%s\",\"wasted\":%d,\
             \"steps\":%d,\"rc\":%d,\"kinds\":{"
-           (json_escape r.b_victim) (json_escape r.b_culprit) r.b_wasted
+           (Json.escape r.b_victim) (Json.escape r.b_culprit) r.b_wasted
            r.b_steps r.b_rc);
       List.iteri
         (fun j (k, n) ->
@@ -630,10 +577,10 @@ let to_json ?namer ?lineage t =
             Buffer.add_string buf
               (Printf.sprintf "{\"addr\":%d,\"wasted\":%d%s%s}" addr n
                  (match family with
-                 | Some f -> Printf.sprintf ",\"family\":\"%s\"" (json_escape f)
+                 | Some f -> Printf.sprintf ",\"family\":\"%s\"" (Json.escape f)
                  | None -> "")
                  (match last with
-                 | Some l -> Printf.sprintf ",\"last\":\"%s\"" (json_escape l)
+                 | Some l -> Printf.sprintf ",\"last\":\"%s\"" (Json.escape l)
                  | None -> ""))
           end)
         r.b_addrs;
@@ -647,7 +594,7 @@ let to_json ?namer ?lineage t =
         (Printf.sprintf
            "{\"site\":\"%s\",\"chains\":%d,\"retries\":%d,\"len_max\":%d,\
             \"steps\":%d,\"adopted\":%d}"
-           (json_escape c.c_site) c.c_chains c.c_len_total c.c_len_max
+           (Json.escape c.c_site) c.c_chains c.c_len_total c.c_len_max
            c.c_steps_total c.c_adopted))
     (chain_rows t);
   Buffer.add_string buf "]}";

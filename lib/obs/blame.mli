@@ -34,40 +34,42 @@ val enabled : t -> bool
 val new_run : t -> unit
 (** Start a new run: clear per-cell stamps and owner bindings (cell ids
     restart per heap, so stale stamps must not cross environments) and
-    per-thread state. Aggregated pairs/chains/totals survive. Called by
+    open retry chains. Aggregated pairs/chains/totals survive. Called by
     [Env.create] when a blame registry is attached. *)
 
-val op_begin : t -> string -> unit
-(** Push a call-site label on the calling thread's blame stack; the
-    innermost open label is the victim/culprit site for charges/stamps. *)
+(** Call sites are the {!Obs} spine's innermost open op label on the
+    calling thread (["(unattributed)"] outside any op); the spine passes
+    them in as [~site]. *)
 
-val op_end : t -> unit
-(** Pop the innermost label; closes the thread's retry chain if that op
-    opened it (the op gave up without a winning write). *)
+val op_end : t -> site:string -> unit
+(** The calling thread's innermost op [site] ended: closes the thread's
+    retry chain if that op opened it (the op gave up without a winning
+    write). *)
 
 val bind_owner : t -> cell:int -> addr:int -> unit
 (** Mark [cell] as belonging to object [addr] (used for rc cells), so
     charges on it count as rc contention and name the object. *)
 
-val stamp : t -> op_kind -> int -> unit
+val stamp : t -> site:string -> op_kind -> int -> unit
 (** Record a successful write to cell id [int] by the calling thread;
     also closes the thread's open retry chain (its op went through). *)
 
-val charge : t -> op_kind -> int -> unit
+val charge : t -> site:string -> op_kind -> int -> unit
 (** Record a failed CAS/DCAS whose compare lost to the last write on the
     given cell id; [op_kind] is only used when the cell has no stamp. *)
 
-val charge_spurious : t -> op_kind -> unit
+val charge_spurious : t -> site:string -> op_kind -> unit
 (** Record an injected (fault-plan) failure: no real write won, charged
     to the reserved ["(fault-injection)"] culprit. *)
 
-val adopt : t -> crashed:int list -> int * int
-(** Fold crashed threads' pending state (open op frames, open retry
-    chains) into the aggregates. Returns [(frames, chains)] adopted. *)
+val adopt : t -> crashed:int list -> frames:int -> int * int
+(** Fold crashed threads' pending state into the aggregates: the
+    [frames] open op frames {!Obs.adopt} took off their spine stacks, and
+    their open retry chains. Returns [(frames, chains)] adopted. *)
 
 val pending : t -> int
-(** Open frames + open chains across all threads (0 after clean runs and
-    after {!adopt}). *)
+(** Open retry chains across all threads (0 after clean runs and after
+    {!adopt}). *)
 
 (** {2 Aggregate access (tests, bench JSON)} *)
 

@@ -33,7 +33,6 @@ type reg = {
   lock : Mutex.t;
   ring : int;  (* per-object ring capacity *)
   objects : (int, entry) Hashtbl.t;
-  op_stacks : (int, string list ref) Hashtbl.t;  (* tid -> op-name stack *)
   mutable recorded : int;
   mutable dropped : int;  (* global drop accounting across all rings *)
 }
@@ -57,7 +56,6 @@ let create ?(ring = default_ring) () =
         lock = Mutex.create ();
         ring;
         objects = Hashtbl.create 64;
-        op_stacks = Hashtbl.create 8;
         recorded = 0;
         dropped = 0;
       }
@@ -69,38 +67,6 @@ let enabled = function Disabled -> false | On _ -> true
 let locked r f =
   Mutex.lock r.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock r.lock) f
-
-(* --- originating-op context ---
-
-   {!Lfrc_core.Lfrc}'s span shim pushes the operation name for the current
-   simulated thread on entry and pops it on exit, so every event recorded
-   while the operation runs is attributed to it (a destroy embedded in a
-   load attributes to the destroy span, which nests inside the load). *)
-
-let op_begin t name =
-  match t with
-  | Disabled -> ()
-  | On r ->
-      let tid = Sched.tid () in
-      locked r (fun () ->
-          match Hashtbl.find_opt r.op_stacks tid with
-          | Some s -> s := name :: !s
-          | None -> Hashtbl.add r.op_stacks tid (ref [ name ]))
-
-let op_end t =
-  match t with
-  | Disabled -> ()
-  | On r ->
-      let tid = Sched.tid () in
-      locked r (fun () ->
-          match Hashtbl.find_opt r.op_stacks tid with
-          | Some ({ contents = _ :: rest } as s) -> s := rest
-          | _ -> ())
-
-let current_op_unlocked r tid =
-  match Hashtbl.find_opt r.op_stacks tid with
-  | Some { contents = op :: _ } -> op
-  | _ -> no_op
 
 (* --- recording --- *)
 
@@ -127,15 +93,12 @@ let push r e ev =
   e.total <- e.total + 1;
   r.recorded <- r.recorded + 1
 
-let record t ?op ~addr kind =
+let record t ?(op = no_op) ~addr kind =
   match t with
   | Disabled -> ()
   | On r ->
       let step = Sched.steps_so_far () and tid = Sched.tid () in
       locked r (fun () ->
-          let op =
-            match op with Some op -> op | None -> current_op_unlocked r tid
-          in
           let e = entry_of r addr in
           (match kind with
           | Alloc _ ->
@@ -280,96 +243,22 @@ let timeline t ~addr =
 let tracer_events t ~addr =
   List.map
     (fun ev ->
-      let name k = Printf.sprintf "%s [%s]" k ev.op in
+      let mk kind name arg =
+        { Tracer.step = ev.step; tid = addr; kind; name; arg }
+      in
+      let instant k arg =
+        mk Tracer.Instant (Printf.sprintf "%s [%s]" k ev.op) arg
+      in
       match ev.kind with
-      | Alloc { gen } ->
-          {
-            Tracer.step = ev.step;
-            tid = addr;
-            kind = Tracer.Begin;
-            name = Printf.sprintf "obj %d#%d" addr gen;
-            arg = 1;
-          }
-      | Free { gen } ->
-          {
-            Tracer.step = ev.step;
-            tid = addr;
-            kind = Tracer.End;
-            name = Printf.sprintf "obj %d#%d" addr gen;
-            arg = 0;
-          }
+      | Alloc { gen } -> mk Tracer.Begin (Printf.sprintf "obj %d#%d" addr gen) 1
+      | Free { gen } -> mk Tracer.End (Printf.sprintf "obj %d#%d" addr gen) 0
       | Rc { old_rc; delta } ->
-          {
-            Tracer.step = ev.step;
-            tid = addr;
-            kind = Tracer.Instant;
-            name = name (Printf.sprintf "rc%+d" delta);
-            arg = old_rc + delta;
-          }
-      | Retire ->
-          {
-            Tracer.step = ev.step;
-            tid = addr;
-            kind = Tracer.Instant;
-            name = name "retire";
-            arg = 0;
-          }
-      | Defer ->
-          {
-            Tracer.step = ev.step;
-            tid = addr;
-            kind = Tracer.Instant;
-            name = name "defer";
-            arg = 0;
-          }
-      | Defer_inc ->
-          {
-            Tracer.step = ev.step;
-            tid = addr;
-            kind = Tracer.Instant;
-            name = name "defer+1";
-            arg = 1;
-          }
-      | Defer_dec ->
-          {
-            Tracer.step = ev.step;
-            tid = addr;
-            kind = Tracer.Instant;
-            name = name "defer-1";
-            arg = -1;
-          }
-      | Flush { net } ->
-          {
-            Tracer.step = ev.step;
-            tid = addr;
-            kind = Tracer.Instant;
-            name = name (Printf.sprintf "flush net%+d" net);
-            arg = net;
-          }
-      | Adopt { owner } ->
-          {
-            Tracer.step = ev.step;
-            tid = addr;
-            kind = Tracer.Instant;
-            name = name (Printf.sprintf "adopt(owner=t%d)" owner);
-            arg = owner;
-          }
-      | Wborrow ->
-          {
-            Tracer.step = ev.step;
-            tid = addr;
-            kind = Tracer.Instant;
-            name = name "weight-borrow";
-            arg = 1;
-          }
-      | Wshare ->
-          {
-            Tracer.step = ev.step;
-            tid = addr;
-            kind = Tracer.Instant;
-            name = name "weight-share";
-            arg = 1;
-          })
+          instant (Printf.sprintf "rc%+d" delta) (old_rc + delta)
+      | Retire | Defer -> instant (kind_name ev.kind) 0
+      | Defer_inc | Wborrow | Wshare -> instant (kind_name ev.kind) 1
+      | Defer_dec -> instant (kind_name ev.kind) (-1)
+      | Flush { net } -> instant (kind_name ev.kind) net
+      | Adopt { owner } -> instant (kind_name ev.kind) owner)
     (events t ~addr)
 
 let to_chrome_json ?addr t =

@@ -46,8 +46,9 @@ type kind =
           thread's pooled weight — no count movement *)
 
 type event = { step : int; tid : int; kind : kind; op : string }
-(** [op] is the innermost instrumented operation running on [tid] when
-    the event was recorded ({!op_begin} context), or ["?"] outside one. *)
+(** [op] is the originating operation: the innermost instrumented
+    operation open on [tid] when the event was recorded through
+    {!Obs.record}, an explicit [?op], or ["?"]. *)
 
 type t
 
@@ -60,20 +61,13 @@ val disabled : t
 
 val enabled : t -> bool
 
-(** {1 Originating-op context}
-
-    {!Lfrc_core.Lfrc}'s span instrumentation pushes the operation name
-    for the current simulated thread on entry and pops on exit; events
-    recorded in between attribute to the innermost operation. *)
-
-val op_begin : t -> string -> unit
-val op_end : t -> unit
-
 (** {1 Recording} *)
 
 val record : t -> ?op:string -> addr:int -> kind -> unit
 (** Record one event for [addr], stamped with the current scheduler step
-    and thread id. [?op] overrides the op-context attribution. *)
+    and thread id and attributed to [op] (default ["?"]). The LFRC layer
+    records through {!Obs.record}, which supplies the innermost open
+    operation from the spine. *)
 
 val record_rc : t -> ?op:string -> addr:int -> old_rc:int -> delta:int -> unit -> unit
 (** [record t ~addr (Rc { old_rc; delta })]. *)

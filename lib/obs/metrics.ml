@@ -1,3 +1,4 @@
+module Json = Lfrc_util.Json
 module Stats = Lfrc_util.Stats
 
 type gauge = { mutable last : int; mutable max : int }
@@ -9,6 +10,9 @@ type reg = {
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, gauge) Hashtbl.t;
   hists : (string, series) Hashtbl.t;
+  (* Counter series owned by someone else (a DCAS substrate's per-domain
+     blocks), read at snapshot instead of being mirrored here per event. *)
+  mutable sources : (unit -> (string * int) list) list;
 }
 
 (* The disabled registry is a distinct constructor, not an empty record:
@@ -24,6 +28,7 @@ let create () =
       counters = Hashtbl.create 32;
       gauges = Hashtbl.create 8;
       hists = Hashtbl.create 8;
+      sources = [];
     }
 
 let disabled = Disabled
@@ -44,6 +49,11 @@ let add t name v =
           | None -> Hashtbl.add r.counters name (ref v))
 
 let incr t name = add t name 1
+
+let add_source t f =
+  match t with
+  | Disabled -> ()
+  | On r -> locked r (fun () -> r.sources <- f :: r.sources)
 
 let set_gauge t name v =
   match t with
@@ -89,13 +99,30 @@ let is_empty s = s.counters = [] && s.gauges = [] && s.samples = []
 
 let by_name (a, _) (b, _) = String.compare a b
 
+(* Merge two sorted association lists, combining values on key collision. *)
+let rec merge_assoc combine a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | (ka, va) :: ra, (kb, vb) :: rb ->
+      let c = String.compare ka kb in
+      if c < 0 then (ka, va) :: merge_assoc combine ra b
+      else if c > 0 then (kb, vb) :: merge_assoc combine a rb
+      else (ka, combine va vb) :: merge_assoc combine ra rb
+
 let snapshot = function
   | Disabled -> empty
   | On r ->
       locked r (fun () ->
-          let counters =
+          let own =
             Hashtbl.fold (fun k c acc -> (k, !c) :: acc) r.counters []
             |> List.sort by_name
+          in
+          let counters =
+            List.fold_left
+              (fun acc f ->
+                List.filter (fun (_, v) -> v <> 0) (f ())
+                |> List.sort by_name |> merge_assoc ( + ) acc)
+              own r.sources
           in
           let gauges =
             Hashtbl.fold (fun k g acc -> (k, (g.last, g.max)) :: acc) r.gauges []
@@ -112,28 +139,10 @@ let snapshot = function
           in
           { counters; gauges; samples })
 
-let reset = function
-  | Disabled -> ()
-  | On r ->
-      locked r (fun () ->
-          Hashtbl.reset r.counters;
-          Hashtbl.reset r.gauges;
-          Hashtbl.reset r.hists)
-
 let counter_value s name =
   match List.assoc_opt name s.counters with Some v -> v | None -> 0
 
 let gauge_value s name = List.assoc_opt name s.gauges
-
-(* Merge two sorted association lists, combining values on key collision. *)
-let rec merge_assoc combine a b =
-  match (a, b) with
-  | [], l | l, [] -> l
-  | (ka, va) :: ra, (kb, vb) :: rb ->
-      let c = String.compare ka kb in
-      if c < 0 then (ka, va) :: merge_assoc combine ra b
-      else if c > 0 then (kb, vb) :: merge_assoc combine a rb
-      else (ka, combine va vb) :: merge_assoc combine ra rb
 
 let merge a b =
   {
@@ -151,26 +160,12 @@ let merge a b =
         a.samples b.samples;
   }
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_obj buf fields =
   Buffer.add_char buf '{';
   List.iteri
     (fun i (k, emit) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":" (json_escape k));
+      Buffer.add_string buf (Printf.sprintf "\"%s\":" (Json.escape k));
       emit buf)
     fields;
   Buffer.add_char buf '}'

@@ -2,17 +2,17 @@
 
     The paper's cost claims are all about {e hidden per-operation work} —
     extra DCAS attempts inside LFRCLoad, retry loops under contention,
-    deferred frees — which end-to-end wall time cannot attribute. Every
-    layer of the system (the LFRC operations, the DCAS substrate, the
-    simulated heap, the reclamation baselines) reports into one of these
-    registries, and the experiment harness snapshots it next to each
-    table.
+    deferred frees — which end-to-end wall time cannot attribute. The
+    LFRC operations, the simulated heap and the reclamation baselines
+    record into one of these registries; the DCAS substrate's counts are
+    read from the substrate itself ({!add_source}); the experiment
+    harness snapshots it next to each table.
 
     A registry is either {e enabled} (created by {!create}) or the shared
     {e disabled} singleton: on the disabled registry every recording
     operation is a single branch and touches nothing, so instrumentation
-    can stay unconditionally in the hot paths ({!Lfrc_core.Lfrc},
-    {!Lfrc_atomics.Dcas}) at negligible cost when observability is off.
+    can stay unconditionally in the hot paths ({!Lfrc_core.Lfrc}) at
+    negligible cost when observability is off.
 
     Enabled registries are mutex-protected: exact under the simulator
     (single domain) and safe, if approximate in ordering, under real
@@ -33,9 +33,9 @@ val enabled : t -> bool
 (** {2 Recording}
 
     Series are named by convention ["layer.event"], e.g.
-    ["dcas.dcas_attempts"], ["lfrc.load_retry"], ["heap.allocs"]. A series
-    springs into existence on first use. All recording operations are
-    no-ops on the disabled registry. *)
+    ["lfrc.load_retry"], ["heap.allocs"]. A series springs into existence
+    on first use. All recording operations are no-ops on the disabled
+    registry. *)
 
 val incr : t -> string -> unit
 (** Add 1 to a counter. *)
@@ -50,6 +50,14 @@ val set_gauge : t -> string -> int -> unit
 val observe : t -> string -> float -> unit
 (** Record one sample into a histogram series. *)
 
+val add_source : t -> (unit -> (string * int) list) -> unit
+(** Counter series kept by their owner and read at {!snapshot}: each
+    source's nonzero values are added to the registry's own counters of
+    the same name. A {!Lfrc_atomics.Dcas} substrate attaches its
+    per-domain operation counts this way ([dcas.*], and [mcas.*] for
+    software MCAS), so they are counted once, in the substrate, and
+    several environments sharing a registry sum. No-op when disabled. *)
+
 (** {2 Snapshots} *)
 
 type snapshot = {
@@ -60,15 +68,12 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-(** A consistent copy of the registry. The disabled registry snapshots to
-    {!empty}. *)
+(** A consistent copy of the registry, sources included. The disabled
+    registry snapshots to {!empty}. *)
 
 val empty : snapshot
 
 val is_empty : snapshot -> bool
-
-val reset : t -> unit
-(** Drop every series. *)
 
 val counter_value : snapshot -> string -> int
 (** 0 when the series does not exist. *)

@@ -1,10 +1,12 @@
+module Json = Lfrc_util.Json
 module Sched = Lfrc_sched.Sched
 
 (* A "site" is the instrumentation label of an operation span —
-   "lfrc.load", "ebr.pop", … — registered on first use. Attribution is a
-   per-simulated-thread stack of open frames: a retry or DCAS failure
-   charges the innermost open frame on the thread it happened on, so a
-   destroy embedded in a load charges the destroy, not the load. *)
+   "lfrc.load", "lfrc.destroy", … — registered when its first call
+   completes. The open frames themselves live on {!Obs}'s per-thread
+   stack: a retry or DCAS failure charges the innermost open frame on
+   the thread it happened on, and {!Obs.op_end} hands the popped frame's
+   counts to [finish]. *)
 
 type site = {
   label : string;
@@ -15,18 +17,10 @@ type site = {
   mutable steps_max : int;
 }
 
-type frame = {
-  f_site : site;
-  start_step : int;
-  mutable f_retries : int;
-  mutable f_dcas : int;
-}
-
 type reg = {
   lock : Mutex.t;
   metrics : Metrics.t;
   sites : (string, site) Hashtbl.t;
-  stacks : (int, frame list ref) Hashtbl.t;  (* tid -> open frames *)
   unattributed : site;  (* failures with no open frame on their thread *)
 }
 
@@ -43,7 +37,6 @@ let create ?(metrics = Metrics.disabled) () =
       lock = Mutex.create ();
       metrics;
       sites = Hashtbl.create 16;
-      stacks = Hashtbl.create 8;
       unattributed = new_site "(unattributed)";
     }
 
@@ -63,85 +56,34 @@ let site_of r label =
       Hashtbl.add r.sites label s;
       s
 
-let stack_of r tid =
-  match Hashtbl.find_opt r.stacks tid with
-  | Some s -> s
-  | None ->
-      let s = ref [] in
-      Hashtbl.add r.stacks tid s;
-      s
-
-let op_begin t label =
+let finish t label ~start_step ~retries ~dcas_retries =
   match t with
   | Disabled -> ()
   | On r ->
-      let start_step = Sched.steps_so_far () and tid = Sched.tid () in
+      let steps = max 0 (Sched.steps_so_far () - start_step) in
       locked r (fun () ->
-          let s = stack_of r tid in
-          s :=
-            { f_site = site_of r label; start_step; f_retries = 0; f_dcas = 0 }
-            :: !s)
-
-let op_end t =
-  match t with
-  | Disabled -> ()
-  | On r -> (
-      let now = Sched.steps_so_far () and tid = Sched.tid () in
-      let finished =
-        locked r (fun () ->
-            match Hashtbl.find_opt r.stacks tid with
-            | Some ({ contents = f :: rest } as s) ->
-                s := rest;
-                let steps = max 0 (now - f.start_step) in
-                let site = f.f_site in
-                site.calls <- site.calls + 1;
-                site.retries <- site.retries + f.f_retries;
-                site.dcas_retries <- site.dcas_retries + f.f_dcas;
-                site.steps_total <- site.steps_total + steps;
-                if steps > site.steps_max then site.steps_max <- steps;
-                Some (site.label, f.f_retries, f.f_dcas, steps)
-            | _ -> None)
-      in
+          let site = site_of r label in
+          site.calls <- site.calls + 1;
+          site.retries <- site.retries + retries;
+          site.dcas_retries <- site.dcas_retries + dcas_retries;
+          site.steps_total <- site.steps_total + steps;
+          if steps > site.steps_max then site.steps_max <- steps);
       (* Observed for every completed call — zeros included — so the
          histograms are populated deterministically, not only under
          contention. Metrics has its own lock; observe outside ours. *)
-      match finished with
-      | Some (label, retries, dcas, steps) ->
-          Metrics.observe r.metrics (label ^ ".retries") (float_of_int retries);
-          Metrics.observe r.metrics (label ^ ".steps") (float_of_int steps);
-          Metrics.observe r.metrics ("dcas.retries." ^ label)
-            (float_of_int dcas)
-      | None -> ())
+      Metrics.observe r.metrics (label ^ ".retries") (float_of_int retries);
+      Metrics.observe r.metrics (label ^ ".steps") (float_of_int steps);
+      Metrics.observe r.metrics ("dcas.retries." ^ label)
+        (float_of_int dcas_retries)
 
-let charge t ~frame ~orphan =
+let unattributed t ~retries ~dcas_retries =
   match t with
   | Disabled -> ()
   | On r ->
-      let tid = Sched.tid () in
       locked r (fun () ->
-          match Hashtbl.find_opt r.stacks tid with
-          | Some { contents = fr :: _ } -> frame fr
-          | _ -> orphan r.unattributed)
-
-let op_retry t =
-  charge t
-    ~frame:(fun fr -> fr.f_retries <- fr.f_retries + 1)
-    ~orphan:(fun site -> site.retries <- site.retries + 1)
-
-let dcas_retry t =
-  charge t
-    ~frame:(fun fr -> fr.f_dcas <- fr.f_dcas + 1)
-    ~orphan:(fun site -> site.dcas_retries <- site.dcas_retries + 1)
-
-let current_site t =
-  match t with
-  | Disabled -> "?"
-  | On r -> (
-      let tid = Sched.tid () in
-      locked r (fun () ->
-          match Hashtbl.find_opt r.stacks tid with
-          | Some { contents = f :: _ } -> f.f_site.label
-          | _ -> r.unattributed.label))
+          let u = r.unattributed in
+          u.retries <- u.retries + retries;
+          u.dcas_retries <- u.dcas_retries + dcas_retries)
 
 (* --- reporting --- *)
 
@@ -206,19 +148,6 @@ let table t =
         rs;
       Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\"sites\":[";
@@ -230,12 +159,9 @@ let to_json t =
            "{\"site\":\"%s\",\"calls\":%d,\"retries\":%d,\"dcas_retries\":%d,\
             \"wasted\":%d,\"steps_total\":%d,\"steps_max\":%d,\
             \"steps_per_op\":%.4f}"
-           (json_escape row.r_site) row.r_calls row.r_retries
+           (Json.escape row.r_site) row.r_calls row.r_retries
            row.r_dcas_retries row.r_wasted row.r_steps_total row.r_steps_max
            (mean_steps row)))
     (rows t);
   Buffer.add_string buf "]}";
   Buffer.contents buf
-
-let total_wasted t =
-  List.fold_left (fun acc r -> acc + r.r_wasted) 0 (rows t)

@@ -1,11 +1,12 @@
 (** Call-site contention and latency profiling.
 
-    Every instrumented operation span ("site": "lfrc.load", "ebr.pop",
-    …) opens a frame on its simulated thread's stack; CAS/DCAS failures
-    and operation-loop retries that happen underneath charge the
-    innermost open frame. Closing the frame accumulates into a per-site
-    registry — calls, retries, failed DCAS attempts, scheduler steps
-    spent — and observes the per-call burst into the {!Metrics}
+    Every instrumented operation span ("site": "lfrc.load",
+    "lfrc.destroy", …) opens a frame on the {!Obs} spine's per-thread
+    stack; CAS/DCAS failures and operation-loop retries that happen
+    underneath charge the innermost open frame. Closing the frame
+    accumulates into a per-site registry — calls, retries, failed DCAS
+    attempts, scheduler steps spent — and observes the per-call burst
+    into the {!Metrics}
     histograms ([<site>.retries], [<site>.steps],
     [dcas.retries.<site>]), zeros included, so the histograms are
     populated deterministically rather than only under contention.
@@ -30,27 +31,21 @@ val disabled : t
 
 val enabled : t -> bool
 
-(** {1 Attribution} *)
+(** {1 Attribution}
 
-val op_begin : t -> string -> unit
-(** Open a frame for site [label] on the current simulated thread. *)
+    Open frames live on {!Obs}'s per-thread stack; the profiler only
+    aggregates what the spine hands it. *)
 
-val op_end : t -> unit
-(** Close the innermost frame: accumulate into the site registry and
-    observe the call's retry/steps bursts into the metrics histograms. *)
+val finish :
+  t -> string -> start_step:int -> retries:int -> dcas_retries:int -> unit
+(** A call of site [label], opened at scheduler step [start_step], has
+    completed after [retries] loop re-runs and [dcas_retries] failed
+    CAS/DCAS attempts: accumulate into the site registry and observe the
+    call's bursts into the metrics histograms. *)
 
-val op_retry : t -> unit
-(** The innermost open operation's loop re-ran (a {!Lfrc_core.Lfrc}
-    retry). Charged to ["(unattributed)"] when no frame is open. *)
-
-val dcas_retry : t -> unit
-(** A CAS/DCAS attempt failed underneath the innermost open operation
-    (wired from {!Lfrc_atomics.Dcas.attach_obs}). *)
-
-val current_site : t -> string
-(** The innermost open frame's site label on the current simulated
-    thread — the attribution key the sanitizer stamps on findings.
-    ["(unattributed)"] when no frame is open, ["?"] when disabled. *)
+val unattributed : t -> retries:int -> dcas_retries:int -> unit
+(** Charge retries or failed attempts that happened with no frame open
+    on their thread to the ["(unattributed)"] site. *)
 
 (** {1 Reporting} *)
 
@@ -75,6 +70,3 @@ val table : t -> string
 val to_json : t -> string
 (** [{"sites":[...]}] with one record per {!row}, same order as
     {!rows}. *)
-
-val total_wasted : t -> int
-(** Sum of wasted attempts across all sites. *)

@@ -1,3 +1,4 @@
+module Json = Lfrc_util.Json
 module Sched = Lfrc_sched.Sched
 
 type kind = Begin | End | Retry | Free | Fault | Instant | Flow_out | Flow_in
@@ -70,13 +71,6 @@ let recorded = function Disabled -> 0 | On r -> r.total
 
 let dropped = function Disabled -> 0 | On r -> max 0 (r.total - r.cap)
 
-let clear = function
-  | Disabled -> ()
-  | On r ->
-      Mutex.lock r.lock;
-      r.total <- 0;
-      Mutex.unlock r.lock
-
 let kind_name = function
   | Begin -> "begin"
   | End -> "end"
@@ -86,20 +80,6 @@ let kind_name = function
   | Instant -> "instant"
   | Flow_out -> "flow-out"
   | Flow_in -> "flow-in"
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 (* Spans are re-paired at export into Chrome "X" (complete) records: a ring
    that overwrote a span's Begin would otherwise emit an unmatched "E",
@@ -117,7 +97,7 @@ let chrome_json_of_events ?(meta = []) evs =
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+        (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
     meta;
   Buffer.add_string buf "},\"traceEvents\":[";
   let first = ref true in
@@ -131,7 +111,7 @@ let chrome_json_of_events ?(meta = []) evs =
       fields;
     Buffer.add_char buf '}'
   in
-  let quoted s = Printf.sprintf "\"%s\"" (json_escape s) in
+  let quoted s = Printf.sprintf "\"%s\"" (Json.escape s) in
   let common ev =
     [
       ("pid", "1");
@@ -260,5 +240,3 @@ let timeline_of_events ?(dropped = 0) ?(meta = []) evs =
   Buffer.contents buf
 
 let to_timeline t = timeline_of_events ~dropped:(dropped t) ~meta:(meta t) (events t)
-
-let pp ppf t = Format.pp_print_string ppf (to_timeline t)

@@ -63,8 +63,6 @@ val recorded : t -> int
 val dropped : t -> int
 (** [recorded - retained]: how many fell off the ring. *)
 
-val clear : t -> unit
-
 val kind_name : kind -> string
 
 val chrome_json_of_events : ?meta:(string * string) list -> event list -> string
@@ -91,6 +89,3 @@ val timeline_of_events :
 val to_timeline : t -> string
 (** [timeline_of_events] over this tracer's retained events and drop
     count. *)
-
-val pp : Format.formatter -> t -> unit
-(** The text timeline, for embedding in reports. *)

@@ -23,7 +23,7 @@ let create env =
       heap;
       top = Heap.root heap ~name:"ebr-stack-top" ();
       ebr = Epoch.create ~metrics:(Lfrc_core.Env.metrics env)
-          ~lineage:(Lfrc_core.Env.lineage env) heap;
+          ~lineage:(Lfrc_core.Env.obs env).lineage heap;
     }
   in
   (* Crash recovery reaches this structure's reclamation state through the

@@ -3,7 +3,7 @@ module Heap = Lfrc_simmem.Heap
 module Sched = Lfrc_sched.Sched
 module Metrics = Lfrc_obs.Metrics
 module Tracer = Lfrc_obs.Tracer
-module Profile = Lfrc_obs.Profile
+module Obs = Lfrc_obs.Obs
 
 (* The scheduler caps simulations at 62 threads; fixed-width vector
    clocks keep every join/copy allocation-free. *)
@@ -80,9 +80,7 @@ type state = {
   cells : (int, cshadow) Hashtbl.t; (* cell id -> shadow *)
   objs : (Heap.ptr, oshadow) Hashtbl.t;
   mutable heap : Heap.t option;
-  mutable metrics : Metrics.t;
-  mutable tracer : Tracer.t;
-  mutable profile : Profile.t;
+  mutable obs : Obs.t;
   mutable checks : int;
   mutable races : int;
   mutable uaf : int;
@@ -107,9 +105,7 @@ let create () =
       cells = Hashtbl.create 256;
       objs = Hashtbl.create 64;
       heap = None;
-      metrics = Metrics.disabled;
-      tracer = Tracer.disabled;
-      profile = Profile.disabled;
+      obs = Obs.disabled;
       checks = 0;
       races = 0;
       uaf = 0;
@@ -121,14 +117,12 @@ let create () =
       aba_sites = Hashtbl.create 16;
     }
 
-let attach t ~heap ~metrics ~tracer ~profile =
+let attach t ~heap obs =
   match t with
   | Disabled -> ()
   | On st ->
       st.heap <- Some heap;
-      st.metrics <- metrics;
-      st.tracer <- tracer;
-      st.profile <- profile
+      st.obs <- obs
 
 (* --- vector clocks --- *)
 
@@ -239,7 +233,7 @@ let access_now st =
   {
     a_tid = tid;
     a_thread = Sched.name_of tid;
-    a_site = Profile.current_site st.profile;
+    a_site = Obs.current_op st.obs;
     a_step = Sched.steps_so_far ();
   }
 
@@ -279,8 +273,8 @@ let emit st kind ?(obj = 0) ~cell_id ~cs ~access ~prev ~what () =
   | Use_after_free -> st.uaf <- st.uaf + 1
   | Use_after_retire -> st.uar <- st.uar + 1
   | Aba -> st.aba_harmful <- st.aba_harmful + 1);
-  Metrics.incr st.metrics (kind_counter kind);
-  Tracer.emit st.tracer ~arg:cell_id Instant ("san." ^ kind_name kind);
+  Metrics.incr st.obs.metrics (kind_counter kind);
+  Tracer.emit st.obs.tracer ~arg:cell_id Instant ("san." ^ kind_name kind);
   let slot = slot_label cs in
   let subject, subject_gen =
     if obj > 0 then (obj, gen_of st obj) else (cs.c_owner, owner_gen st cs)
@@ -395,14 +389,14 @@ let aba_check st ~cell_id cs ~old_v access =
     match Hashtbl.find_opt cs.aba_reads access.a_tid with
     | Some (v, ver, gen) when v = old_v && ver < cs.aba_version ->
         st.aba_all <- st.aba_all + 1;
-        Metrics.incr st.metrics "san.aba";
+        Metrics.incr st.obs.metrics "san.aba";
         bump_site st access.a_site;
         Hashtbl.remove cs.aba_reads access.a_tid;
         if old_v > 0 && gen_of st old_v <> gen then
           emit st Aba ~obj:old_v ~cell_id ~cs ~access ~prev:None
             ~what:(Printf.sprintf "recycled-pointer CAS (old=#%d)" old_v)
             ()
-        else Tracer.emit st.tracer ~arg:cell_id Instant "san.aba"
+        else Tracer.emit st.obs.tracer ~arg:cell_id Instant "san.aba"
     | _ -> ()
 
 (* --- access hooks --- *)

@@ -7,7 +7,7 @@
     counters for ABA occurrences — and checks each access {e at the moment
     it happens}, under the deterministic scheduler. Findings are collected
     (never raised), deduplicated by (class, cell, racing sites), and carry
-    enough context (thread names, scheduler steps, profiler call sites) to
+    enough context (thread names, scheduler steps, op call sites) to
     serve as replayable witnesses.
 
     Classification per cell, bound from heap allocation events:
@@ -41,7 +41,9 @@ val kind_name : kind -> string
 type access = {
   a_tid : int;
   a_thread : string;  (** scheduler thread name at the access *)
-  a_site : string;  (** innermost profiler frame, or ["?"] unprofiled *)
+  a_site : string;
+      (** innermost open op ({!Lfrc_obs.Obs.current_op}), or
+          ["(unattributed)"] outside any *)
   a_step : int;  (** [Sched.steps_so_far] at the access *)
 }
 
@@ -77,17 +79,11 @@ val create : unit -> t
 val disabled : t
 val enabled : t -> bool
 
-val attach :
-  t ->
-  heap:Heap.t ->
-  metrics:Lfrc_obs.Metrics.t ->
-  tracer:Lfrc_obs.Tracer.t ->
-  profile:Lfrc_obs.Profile.t ->
-  unit
+val attach : t -> heap:Heap.t -> Lfrc_obs.Obs.t -> unit
 (** Bind the heap (for generation queries and cell classification) and the
-    observability sinks: every finding class lands in [san.*] counters and
-    emits an [Instant] tracer event; ABA occurrences are attributed to the
-    profiler's innermost call-site label. *)
+    observability spine: every finding class lands in [san.*] counters and
+    emits an [Instant] tracer event; accesses, ABA occurrences included,
+    are attributed to the spine's innermost open op. *)
 
 (** {2 Lifecycle hooks} (wired by [Env.create ~sanitize]) *)
 
@@ -134,6 +130,6 @@ val findings : t -> finding list
 val totals : t -> totals
 
 val aba_by_site : t -> (string * int) list
-(** ABA occurrences per profiler call-site label, most first. *)
+(** ABA occurrences per call-site label, most first. *)
 
 val pp_finding : Format.formatter -> finding -> unit

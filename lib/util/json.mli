@@ -43,3 +43,7 @@ val to_list : t -> t list option
 
 val obj_fields : t -> (string * t) list
 (** Fields of an [Obj], [[]] for any other constructor. *)
+
+val escape : string -> string
+(** [s] as the body of a JSON string literal: quotes, backslashes and
+    control characters escaped. *)

@@ -46,21 +46,22 @@ let test_known_winner_blamed () =
   let cell = Heap.root heap ~name:"X" () in
   let d = Dcas.create Dcas.Atomic_step in
   let blame = Blame.create () in
-  Dcas.attach_obs ~blame d ~metrics:Metrics.disabled ~tracer:Tracer.disabled;
+  let obs = Obs.make ~blame () in
+  Dcas.attach_obs d obs;
   ignore
     (Sched.run ~max_steps:10_000 (Strategy.Random 1) (fun () ->
          let winner =
            Sched.spawn (fun () ->
-               Blame.op_begin blame "winner.write";
+               Obs.op_begin obs "winner.write";
                Dcas.write d cell 42;
-               Blame.op_end blame)
+               Obs.op_end obs "winner.write")
          in
          Sched.join [ winner ];
          let victim =
            Sched.spawn (fun () ->
-               Blame.op_begin blame "victim.cas";
+               Obs.op_begin obs "victim.cas";
                checkb "stale cas fails" false (Dcas.cas d cell 0 7);
-               Blame.op_end blame)
+               Obs.op_end obs "victim.cas")
          in
          Sched.join [ victim ]));
   match Blame.rows blame with
@@ -82,13 +83,14 @@ let test_winning_cas_not_charged () =
   let cell = Heap.root heap ~name:"X" () in
   let d = Dcas.create Dcas.Atomic_step in
   let blame = Blame.create () in
-  Dcas.attach_obs ~blame d ~metrics:Metrics.disabled ~tracer:Tracer.disabled;
+  let obs = Obs.make ~blame () in
+  Dcas.attach_obs d obs;
   ignore
     (Sched.run ~max_steps:10_000 (Strategy.Random 1) (fun () ->
-         Blame.op_begin blame "solo.cas";
+         Obs.op_begin obs "solo.cas";
          checkb "cas wins" true (Dcas.cas d cell 0 1);
          checkb "cas wins again" true (Dcas.cas d cell 1 2);
-         Blame.op_end blame));
+         Obs.op_end obs "solo.cas"));
   checki "no wasted attempts" 0 (Blame.total_wasted blame);
   checki "no pairs" 0 (List.length (Blame.rows blame))
 
@@ -164,6 +166,7 @@ let test_chaos_adopts_pending () =
   let module Fault_plan = Lfrc_faults.Fault_plan in
   let blame = Blame.create () in
   let crashed_runs = ref 0 in
+  let last = ref None in
   for seed = 1 to 5 do
     let spec = { Fault_plan.default with seed; crashes = [ (1, 10) ] } in
     let r =
@@ -178,14 +181,19 @@ let test_chaos_adopts_pending () =
     | _ -> ());
     checki
       (Printf.sprintf "seed %d: nothing pending after the run" seed)
-      0 (Blame.pending blame)
+      0 (Blame.pending blame);
+    checki
+      (Printf.sprintf "seed %d: no op frame left open" seed)
+      0 (Obs.open_frames (Env.obs r.Chaos.env));
+    last := Some r.Chaos.env
   done;
   checkb "some runs crashed a thread" true (!crashed_runs > 0);
   let frames, chains = Blame.adopted blame in
   checkb "crashed threads' open state was adopted" true (frames + chains > 0);
   (* Adoption is idempotent: the threads' state is gone afterwards. *)
-  checki "re-adopt finds no frames" 0 (fst (Blame.adopt blame ~crashed:[ 1 ]));
-  checki "re-adopt finds no chains" 0 (snd (Blame.adopt blame ~crashed:[ 1 ]))
+  let obs = Env.obs (Option.get !last) in
+  checki "re-adopt finds no frames" 0 (fst (Obs.adopt obs ~crashed:[ 1 ]));
+  checki "re-adopt finds no chains" 0 (snd (Obs.adopt obs ~crashed:[ 1 ]))
 
 (* --- counter identity: blame writes nothing to Metrics --- *)
 
@@ -302,6 +310,36 @@ let test_compare_counter_and_ops_policy () =
      let la = String.length a and ls = String.length e in
      let rec go i = i + la <= ls && (String.sub e i la = a || go (i + 1)) in
      go 0)
+
+(* [--report-only] forgives a wall-clock regression and nothing else:
+   counter and histogram-n drift are deterministic, so they still fail. *)
+let test_compare_report_only_forgives_only_ops () =
+  let run ~ops ~cas ~n =
+    doc
+      (Printf.sprintf
+         {|{"workloads":[
+             {"structure":"treiber","ops_per_sec":%.1f,
+              "metrics":{"counters":{"dcas.cas_attempts":%d},
+                         "histograms":{"op.latency":{"n":%d}}}}]}|}
+         ops cas n)
+  in
+  let passes ~report_only current =
+    Bc.passes ~report_only
+      (Bc.diff ~threshold:30.0 ~current ~baseline:baseline_doc)
+  in
+  let slow = run ~ops:100.0 ~cas:100 ~n:50 in
+  checkb "ops regression fails the gate" false (passes ~report_only:false slow);
+  checkb "report-only forgives it" true (passes ~report_only:true slow);
+  let drift = run ~ops:1000.0 ~cas:120 ~n:50 in
+  checkb "counter drift fails in report-only" false
+    (passes ~report_only:true drift);
+  let hist = run ~ops:1000.0 ~cas:100 ~n:70 in
+  checkb "histogram-n drift fails in report-only" false
+    (passes ~report_only:true hist);
+  checkb "drift plus regression fails in report-only" false
+    (passes ~report_only:true (run ~ops:100.0 ~cas:120 ~n:50));
+  checkb "a clean run passes either way" true
+    (passes ~report_only:false (run ~ops:1000.0 ~cas:100 ~n:50))
 
 (* The CLI's defaults: a fresh run lands in an uncommitted file, and the
    gate reads it against the newest committed baseline. Were the two the
@@ -420,6 +458,8 @@ let () =
         [
           Alcotest.test_case "new histogram is report-only" `Quick
             test_compare_new_histogram_report_only;
+          Alcotest.test_case "report-only forgives only ops/sec" `Quick
+            test_compare_report_only_forgives_only_ops;
           Alcotest.test_case "histogram n drift gates" `Quick
             test_compare_histogram_n_drift_gates;
           Alcotest.test_case "counter/ops policy" `Quick

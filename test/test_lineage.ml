@@ -9,6 +9,7 @@ module Env = Lfrc_core.Env
 module Sched = Lfrc_sched.Sched
 module Strategy = Lfrc_sched.Strategy
 module Lineage = Lfrc_obs.Lineage
+module Obs = Lfrc_obs.Obs
 module Fault_plan = Lfrc_faults.Fault_plan
 module Audit = Lfrc_faults.Audit
 module Chaos = Lfrc_faults.Chaos
@@ -248,22 +249,25 @@ let test_disabled_is_noop () =
   checkb "disabled" false (Lineage.enabled l);
   Lineage.record l ~addr:1 (Lineage.Alloc { gen = 1 });
   Lineage.record_rc l ~addr:1 ~old_rc:1 ~delta:(-1) ();
-  Lineage.op_begin l "x";
-  Lineage.op_end l;
+  let o = Obs.make ~lineage:l () in
+  checkb "no reader, no frames" false o.Obs.framed;
+  Obs.record o ~addr:1 (Lineage.Alloc { gen = 2 });
   checki "records nothing" 0 (Lineage.recorded l);
   checkb "tracks nothing" true (Lineage.tracked l = []);
   (* create with a non-positive ring is the disabled singleton. *)
   checkb "ring<=0 disables" false (Lineage.enabled (Lineage.create ~ring:0 ()))
 
+(* The originating op comes from the spine's frame stack. *)
 let test_op_context_attribution () =
   let l = Lineage.create () in
-  Lineage.op_begin l "outer";
-  Lineage.op_begin l "inner";
-  Lineage.record_rc l ~addr:3 ~old_rc:1 ~delta:1 ();
-  Lineage.op_end l;
-  Lineage.record_rc l ~addr:3 ~old_rc:2 ~delta:(-1) ();
-  Lineage.op_end l;
-  Lineage.record_rc l ~addr:3 ~old_rc:1 ~delta:(-1) ();
+  let o = Obs.make ~lineage:l () in
+  Obs.op_begin o "outer";
+  Obs.op_begin o "inner";
+  Obs.record_rc o ~addr:3 ~old_rc:1 ~delta:1;
+  Obs.op_end o "inner";
+  Obs.record_rc o ~addr:3 ~old_rc:2 ~delta:(-1);
+  Obs.op_end o "outer";
+  Obs.record_rc o ~addr:3 ~old_rc:1 ~delta:(-1);
   match Lineage.events l ~addr:3 with
   | [ a; b; c ] ->
       Alcotest.(check string) "innermost wins" "inner" a.Lineage.op;

@@ -146,6 +146,88 @@ let test_disabled_metrics_zero_cost_path () =
   checkb "default env records nothing" true
     (Metrics.is_empty (Metrics.snapshot (Env.metrics env)))
 
+(* --- the substrate's counters are the only count --- *)
+
+module Dcas = Lfrc_atomics.Dcas
+
+let dcas_series (c : Dcas.counters) =
+  [
+    ("dcas.reads", c.reads);
+    ("dcas.writes", c.writes);
+    ("dcas.rmw", c.rmw_ops);
+    ("dcas.cas_attempts", c.cas_attempts);
+    ("dcas.cas_failures", c.cas_failures);
+    ("dcas.dcas_attempts", c.dcas_attempts);
+    ("dcas.dcas_failures", c.dcas_failures);
+    ("dcas.spurious_cas", c.spurious_cas);
+    ("dcas.spurious_dcas", c.spurious_dcas);
+  ]
+
+(* Two environments share one registry: its dcas.* series are the sums of
+   both substrates' own counters, and a series that never fired (no fault
+   plan, so no spurious failure) is absent rather than 0. *)
+let test_shared_registry_sums_substrates () =
+  let layout = Layout.make ~name:"obs-shared" ~n_ptrs:1 ~n_vals:0 in
+  let m = Metrics.create () in
+  let run n =
+    let heap = Heap.create ~name:"obs-shared" () in
+    let env =
+      Env.create ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step ~metrics:m heap
+    in
+    let root = Heap.root heap ~name:"r" () in
+    for _ = 1 to n do
+      Lfrc.store_alloc env ~dst:root (Lfrc.alloc env layout);
+      let dest = ref Heap.null in
+      Lfrc.load env ~src:root ~dest;
+      Lfrc.destroy env !dest
+    done;
+    Lfrc.store env ~dst:root Heap.null;
+    Dcas.counters (Env.dcas env)
+  in
+  let c1 = run 3 and c2 = run 5 in
+  let s = Metrics.snapshot m in
+  List.iter2
+    (fun (name, a) (_, b) ->
+      checki name (a + b) (Metrics.counter_value s name);
+      checkb (name ^ " listed iff nonzero") (a + b > 0)
+        (List.mem_assoc name s.Metrics.counters))
+    (dcas_series c1) (dcas_series c2);
+  checkb "the run did count" true (Metrics.counter_value s "dcas.reads" > 0);
+  checkb "never-fired series absent" false
+    (List.mem_assoc "dcas.spurious_cas" s.Metrics.counters)
+
+(* Software MCAS counts belong to the registry of the substrate that ran
+   them: two environments with their own registries each see exactly
+   their own mcas.*, whichever was created last. *)
+let test_mcas_counts_per_registry () =
+  let env_with m =
+    Env.create ~dcas_impl:Dcas.Software_mcas ~metrics:m
+      (Heap.create ~name:"obs-mcas" ())
+  in
+  let m1 = Metrics.create () and m2 = Metrics.create () in
+  let e1 = env_with m1 in
+  let e2 = env_with m2 in
+  let dcas_n env ~ok ~fail =
+    let d = Env.dcas env in
+    let c0 = Lfrc_simmem.Cell.make 0 and c1 = Lfrc_simmem.Cell.make 0 in
+    for i = 0 to ok - 1 do
+      ignore (Dcas.dcas d c0 c1 ~old0:i ~old1:i ~new0:(i + 1) ~new1:(i + 1))
+    done;
+    for _ = 1 to fail do
+      ignore (Dcas.dcas d c0 c1 ~old0:(-1) ~old1:0 ~new0:0 ~new1:0)
+    done
+  in
+  dcas_n e1 ~ok:3 ~fail:2;
+  dcas_n e2 ~ok:1 ~fail:0;
+  let s1 = Metrics.snapshot m1 and s2 = Metrics.snapshot m2 in
+  checki "env1 attempts" 5 (Metrics.counter_value s1 "mcas.attempt");
+  checki "env1 successes" 3 (Metrics.counter_value s1 "mcas.success");
+  checki "env1 failures" 2 (Metrics.counter_value s1 "mcas.fail");
+  checki "env2 attempts" 1 (Metrics.counter_value s2 "mcas.attempt");
+  checki "env2 successes" 1 (Metrics.counter_value s2 "mcas.success");
+  checkb "env2 never failed" false
+    (List.mem_assoc "mcas.fail" s2.Metrics.counters)
+
 (* --- Tracer --- *)
 
 let test_ring_wrap () =
@@ -252,6 +334,10 @@ let () =
             test_env_wiring_exact;
           Alcotest.test_case "disabled records nothing" `Quick
             test_disabled_metrics_zero_cost_path;
+          Alcotest.test_case "shared registry sums substrates" `Quick
+            test_shared_registry_sums_substrates;
+          Alcotest.test_case "mcas counts stay per registry" `Quick
+            test_mcas_counts_per_registry;
         ] );
       ( "tracer",
         [

@@ -28,9 +28,11 @@ let checkb = Alcotest.(check bool)
 let n_domains = 3
 let ops_per_domain = 2_000
 
-let fresh ?rc_mode name =
+let fresh ?rc_mode ?metrics ?lineage ?profile ?blame name =
   let heap = Heap.create ~name () in
-  (Env.create ~dcas_impl:Lfrc_atomics.Dcas.Striped_lock ?rc_mode heap, heap)
+  ( Env.create ~dcas_impl:Lfrc_atomics.Dcas.Striped_lock ?rc_mode ?metrics
+      ?lineage ?profile ?blame heap,
+    heap )
 
 let deferred_rc = Env.Deferred_rc { epoch = 64 }
 
@@ -47,8 +49,10 @@ let check_quiescent name env heap =
 
 (* Each domain pushes a disjoint range and pops whatever it can; after
    joining, drain the rest: pushed sum must equal popped sum. *)
-let test_treiber_domains ?rc_mode () =
-  let env, heap = fresh ?rc_mode "par-treiber" in
+let run_treiber ?rc_mode ?metrics ?lineage ?profile ?blame () =
+  let env, heap =
+    fresh ?rc_mode ?metrics ?lineage ?profile ?blame "par-treiber"
+  in
   let s = Treiber.create env in
   let popped = Atomic.make 0 in
   let worker d () =
@@ -85,7 +89,51 @@ let test_treiber_domains ?rc_mode () =
   check_quiescent "treiber" env heap;
   Treiber.destroy s;
   Report.assert_no_leaks heap;
-  checki "counts exact at quiescence" 0 (List.length (Report.check_rc_exact heap))
+  checki "counts exact at quiescence" 0 (List.length (Report.check_rc_exact heap));
+  env
+
+let test_treiber_domains ?rc_mode () = ignore (run_treiber ?rc_mode ())
+
+(* Observability on real domains: every domain has its own op-frame
+   stack, so each sink attributes an event to the op running on the
+   domain that caused it, and nothing is left open after the join. *)
+let test_obs_domains () =
+  let module Obs = Lfrc_obs.Obs in
+  let module Lineage = Lfrc_obs.Lineage in
+  let module Profile = Lfrc_obs.Profile in
+  let module Blame = Lfrc_obs.Blame in
+  let module Metrics = Lfrc_obs.Metrics in
+  let metrics = Metrics.create () and lineage = Lineage.create ~ring:64 () in
+  let profile = Profile.create () and blame = Blame.create () in
+  let env = run_treiber ~metrics ~lineage ~profile ~blame () in
+  let allocs = ref 0 and misattributed = ref [] in
+  List.iter
+    (fun addr ->
+      List.iter
+        (fun (ev : Lineage.event) ->
+          match ev.kind with
+          | Lineage.Alloc _ ->
+              incr allocs;
+              if ev.op <> "lfrc.alloc" then
+                misattributed := ev.op :: !misattributed
+          | _ -> ())
+        (Lineage.events lineage ~addr))
+    (Lineage.tracked lineage);
+  checkb "allocations recorded" true (!allocs > 0);
+  Alcotest.(check (list string))
+    "every Alloc originates in lfrc.alloc" [] !misattributed;
+  let calls site =
+    match
+      List.find_opt (fun r -> r.Profile.r_site = site) (Profile.rows profile)
+    with
+    | Some r -> r.Profile.r_calls
+    | None -> 0
+  in
+  checki "profile counts each alloc under its own site"
+    (Metrics.counter_value (Metrics.snapshot metrics) "lfrc.alloc")
+    (calls "lfrc.alloc");
+  checki "no op frame left open" 0 (Obs.open_frames (Env.obs env));
+  checki "no retry chain left open" 0 (Blame.pending blame)
 
 let test_msqueue_domains ?rc_mode () =
   let env, heap = fresh ?rc_mode "par-msq" in
@@ -328,5 +376,6 @@ let () =
             (test_skiplist_domains ~rc_mode:deferred_rc);
           Alcotest.test_case "dcas counters per domain" `Slow
             test_dcas_counters_domains;
+          Alcotest.test_case "obs sinks per domain" `Slow test_obs_domains;
         ] );
     ]
