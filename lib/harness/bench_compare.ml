@@ -8,10 +8,11 @@
    Gating policy (PR 7's grace rules, extended to histograms):
    - ops/sec regressions beyond the threshold gate; wall-clock is noisy,
      so the threshold is generous (default 30%).
-   - counters are deterministic under the simulated scheduler: >= 5%
-     drift on a matched workload is a behavior change and gates.
+   - counters are deterministic under the simulated scheduler: any
+     change on a matched workload is a behavior change and gates.
    - histograms gate on their "n" (observation count — deterministic),
-     same 5% rule; the summary statistics are derived and never gated.
+     same exact rule; the summary statistics are derived and never
+     gated.
    - anything absent from the baseline — a new workload, a new counter,
      a NEW HISTOGRAM KEY — is information, not drift: reported, never
      gated, so a PR adding an instrument does not need its baseline
@@ -41,9 +42,9 @@ type drift = {
 
 type verdict = {
   rows : row list;
-  counter_drift : drift list;  (* matched counters, |delta| >= 5%: gates *)
+  counter_drift : drift list;  (* matched counters that changed: gates *)
   counter_new : (string * string * float) list;  (* report-only *)
-  hist_drift : drift list;  (* matched histogram "n", |delta| >= 5%: gates *)
+  hist_drift : drift list;  (* matched histogram "n" that changed: gates *)
   hist_new : (string * string) list;  (* report-only *)
   regressions : (string * float) list;  (* (workload, pct): gates *)
 }
@@ -96,12 +97,13 @@ let diff ~threshold ~current ~baseline =
     List.iter
       (fun (key, c) ->
         match List.assoc_opt key base_kvs with
-        | Some b when b > 0. ->
-            let pct = (c -. b) /. b *. 100. in
-            if Float.abs pct >= 5. then
+        | Some b ->
+            if c <> b then
+              let pct =
+                if b > 0. then (c -. b) /. b *. 100. else Float.infinity
+              in
               gated_out := { workload = name; key; base = b; cur = c; pct }
                            :: !gated_out
-        | Some _ -> ()
         | None -> if c > 0. then new_out := on_new key c :: !new_out)
       cur_kvs;
     (* Registries only serialize non-zero series, so a known counter the
@@ -203,9 +205,9 @@ let render ~threshold ~current_file ~baseline_file v =
       p "new histograms (absent from baseline; not gated):\n";
       List.iter (fun (wl, key) -> p "  %-14s %-24s      new\n" wl key) fresh);
   (match v.counter_drift with
-  | [] -> p "counters: all within 5%% of baseline\n"
+  | [] -> p "counters: all equal to baseline\n"
   | drift ->
-      p "counter drift (|delta| >= 5%%):\n";
+      p "counter drift (any change):\n";
       List.iter
         (fun d ->
           p "  %-14s %-24s %12.0f %12.0f %+8.1f%%\n" d.workload d.key d.base
@@ -214,7 +216,7 @@ let render ~threshold ~current_file ~baseline_file v =
   (match v.hist_drift with
   | [] -> ()
   | drift ->
-      p "histogram drift (observation count \"n\", |delta| >= 5%%):\n";
+      p "histogram drift (observation count \"n\", any change):\n";
       List.iter
         (fun d ->
           p "  %-14s %-24s %12.0f %12.0f %+8.1f%%\n" d.workload d.key d.base
@@ -230,13 +232,13 @@ let render ~threshold ~current_file ~baseline_file v =
           threshold)
       v.regressions;
     if v.counter_drift <> [] then
-      p "COUNTER DRIFT: %d counter(s) moved >= 5%% on matched workloads \
+      p "COUNTER DRIFT: %d counter(s) changed on matched workloads \
          (deterministic under the simulator, so this is a behavior change, \
          not noise)\n"
         (List.length v.counter_drift);
     if v.hist_drift <> [] then
-      p "HISTOGRAM DRIFT: %d histogram(s) changed observation count >= 5%% \
-         on matched workloads\n"
+      p "HISTOGRAM DRIFT: %d histogram(s) changed observation count on \
+         matched workloads\n"
         (List.length v.hist_drift)
   end;
   Buffer.contents buf
@@ -244,10 +246,10 @@ let render ~threshold ~current_file ~baseline_file v =
 (* --- the explainer ---
 
    Attribute each regressed workload's ops/sec drift to what moved
-   underneath it: the counters (all of them, not just the gated >= 5%
-   set), the profiler's per-site wasted attempts, and the blame layer's
-   victim -> culprit pairs. None of this proves causation — it ranks the
-   instruments that moved the most, which is where to look first. *)
+   underneath it: the counters, the profiler's per-site wasted attempts,
+   and the blame layer's victim -> culprit pairs. None of this proves
+   causation — it ranks the instruments that moved the most, which is
+   where to look first. *)
 
 let profile_sites w =
   match Option.bind (J.path [ "profile"; "sites" ] w) J.to_list with

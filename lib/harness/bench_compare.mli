@@ -7,11 +7,11 @@
     Gating policy:
     - ops/sec on a matched workload regressing beyond [threshold] gates
       (wall-clock is noisy; callers default the threshold to 30%);
-    - matched counters drifting >= 5% gate — counters are deterministic
+    - any change of a matched counter gates — counters are deterministic
       under the simulated scheduler, so drift is a behavior change;
     - matched histograms gate on their ["n"] field (observation count,
-      equally deterministic) with the same 5% rule; derived statistics
-      (mean/percentiles) are never compared;
+      equally deterministic) with the same exact rule; derived
+      statistics (mean/percentiles) are never compared;
     - anything absent from the baseline — a new workload, a new counter,
       a {e new histogram key} — is reported but never gates, so adding an
       instrument does not force a baseline regeneration in the same
@@ -74,9 +74,8 @@ val render :
 val explain :
   current:Lfrc_util.Json.t -> baseline:Lfrc_util.Json.t -> verdict -> string
 (** [--explain]: for each regressed workload, rank what moved underneath
-    it — all counters (not just the gated set), histogram observation
-    counts, the contention profiler's per-site wasted attempts, and the
-    blame layer's victim -> culprit pairs (marked report-only when the
-    baseline predates blame). Ranks movers; does not prove causation.
-    With no regressions, names the single largest ops/sec mover if it
-    shifted >= 1%. *)
+    it — all counters, histogram observation counts, the contention
+    profiler's per-site wasted attempts, and the blame layer's victim ->
+    culprit pairs (marked report-only when the baseline predates blame).
+    Ranks movers; does not prove causation. With no regressions, names
+    the single largest ops/sec mover if it shifted >= 1%. *)

@@ -39,14 +39,30 @@ let locked r f =
   Mutex.lock r.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock r.lock) f
 
+(* Under the lock, [update] [name]'s series with [v], or [create] it.
+   Recording runs on hot paths, so for an existing series this allocates
+   nothing: the lock is released by hand on both paths (no [Fun.protect]
+   closures), [update] and [create] are closed top-level functions, and
+   [Hashtbl.find] builds no [Some]. *)
+let record r tbl name ~update ~create v =
+  Mutex.lock r.lock;
+  match
+    match Hashtbl.find tbl name with
+    | x -> update x v
+    | exception Not_found -> Hashtbl.add tbl name (create v)
+  with
+  | () -> Mutex.unlock r.lock
+  | exception e ->
+      Mutex.unlock r.lock;
+      raise e
+
+let bump c v = c := !c + v
+let fresh_counter v = ref v
+
 let add t name v =
   match t with
   | Disabled -> ()
-  | On r ->
-      locked r (fun () ->
-          match Hashtbl.find_opt r.counters name with
-          | Some c -> c := !c + v
-          | None -> Hashtbl.add r.counters name (ref v))
+  | On r -> record r r.counters name ~update:bump ~create:fresh_counter v
 
 let incr t name = add t name 1
 
@@ -55,37 +71,35 @@ let add_source t f =
   | Disabled -> ()
   | On r -> locked r (fun () -> r.sources <- f :: r.sources)
 
+let set_last g v =
+  g.last <- v;
+  if v > g.max then g.max <- v
+
+let fresh_gauge v = { last = v; max = v }
+
 let set_gauge t name v =
   match t with
   | Disabled -> ()
-  | On r ->
-      locked r (fun () ->
-          match Hashtbl.find_opt r.gauges name with
-          | Some g ->
-              g.last <- v;
-              if v > g.max then g.max <- v
-          | None -> Hashtbl.add r.gauges name { last = v; max = v })
+  | On r -> record r r.gauges name ~update:set_last ~create:fresh_gauge v
+
+let push s x =
+  if s.len = Array.length s.buf then begin
+    let bigger = Array.make (2 * s.len) 0.0 in
+    Array.blit s.buf 0 bigger 0 s.len;
+    s.buf <- bigger
+  end;
+  s.buf.(s.len) <- x;
+  s.len <- s.len + 1
+
+let fresh_series x =
+  let s = { buf = Array.make 16 0.0; len = 0 } in
+  push s x;
+  s
 
 let observe t name x =
   match t with
   | Disabled -> ()
-  | On r ->
-      locked r (fun () ->
-          let s =
-            match Hashtbl.find_opt r.hists name with
-            | Some s -> s
-            | None ->
-                let s = { buf = Array.make 16 0.0; len = 0 } in
-                Hashtbl.add r.hists name s;
-                s
-          in
-          if s.len = Array.length s.buf then begin
-            let bigger = Array.make (2 * s.len) 0.0 in
-            Array.blit s.buf 0 bigger 0 s.len;
-            s.buf <- bigger
-          end;
-          s.buf.(s.len) <- x;
-          s.len <- s.len + 1)
+  | On r -> record r r.hists name ~update:push ~create:fresh_series x
 
 type snapshot = {
   counters : (string * int) list;

@@ -162,8 +162,15 @@ let enabled_mask s =
   done;
   !mask
 
-(* Run one thread until it yields, finishes, or fails. *)
-let step_thread s th =
+(* Start a thread's fiber. Its handler, closures included, is built once
+   here; [effc] answers every [Yield] with the same preallocated
+   [Some on_yield], so a yield allocates only the continuation that
+   [Effect.perform] creates and the [Suspended] cell that parks it. *)
+let start_thread s th body =
+  let on_yield k =
+    if s.aborting then Effect.Deep.continue k () else th.state <- Suspended k
+  in
+  let yield_handler = Some on_yield in
   let handler : (unit, unit) Effect.Deep.handler =
     {
       retc = (fun () -> th.state <- Finished);
@@ -173,13 +180,10 @@ let step_thread s th =
           if (not s.aborting) && s.failure = None then
             s.failure <- Some (th.id, exn));
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
           match eff with
-          | Yield ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  if s.aborting then Effect.Deep.continue k ()
-                  else th.state <- Suspended k)
+          | Yield -> yield_handler
           | Spawn (name, body) ->
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
@@ -194,10 +198,14 @@ let step_thread s th =
           | _ -> None);
     }
   in
+  Effect.Deep.match_with body () handler
+
+(* Run one thread until it yields, finishes, or fails. *)
+let step_thread s th =
   match th.state with
   | Not_started body ->
       th.state <- Running;
-      Effect.Deep.match_with body () handler
+      start_thread s th body
   | Suspended k | Waiting (_, k) ->
       th.state <- Running;
       Effect.Deep.continue k ()

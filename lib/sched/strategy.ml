@@ -46,18 +46,49 @@ type state =
       rng : Lfrc_util.Rng.t;
       priorities : float array; (* lower value = runs first *)
       change_steps : int array; (* sorted step indices where priority drops *)
+      mutable next_change : int; (* first index of [change_steps] not passed *)
     }
   | Scripted_state of { prefix : int array; tail : Lfrc_util.Rng.t option }
   | Handicap_state of { rng : Lfrc_util.Rng.t; victim : int; period : int }
 
 let max_threads = 62
 
-let bits_of enabled =
-  let rec go i acc =
-    if i > max_threads then List.rev acc
-    else go (i + 1) (if enabled land (1 lsl i) <> 0 then i :: acc else acc)
-  in
-  go 0 []
+(* The choice helpers are top-level loops over the enabled bitmask, so
+   a step allocates nothing. *)
+let rec popcount_from mask n =
+  if mask = 0 then n else popcount_from (mask land (mask - 1)) (n + 1)
+
+let rec first_enabled_from enabled i =
+  if enabled land (1 lsl i) <> 0 then i
+  else if i >= max_threads then invalid_arg "Strategy: empty enabled set"
+  else first_enabled_from enabled (i + 1)
+
+(* Next enabled thread from [i] on, wrapping. *)
+let rec next_enabled enabled i =
+  let i = if i > max_threads then 0 else i in
+  if enabled land (1 lsl i) <> 0 then i else next_enabled enabled (i + 1)
+
+(* Id of the [r]-th (from 0) set bit of [mask], counting from bit [i]. *)
+let rec nth_set_bit mask r i =
+  if mask land 1 = 0 then nth_set_bit (mask lsr 1) r (i + 1)
+  else if r = 0 then i
+  else nth_set_bit (mask lsr 1) (r - 1) (i + 1)
+
+(* Uniform choice among the set bits of [mask]. *)
+let pick_bit rng mask =
+  nth_set_bit mask (Lfrc_util.Rng.int rng (popcount_from mask 0)) 0
+
+(* The enabled thread with the lowest priority value, the lowest id on a
+   tie. *)
+let rec most_urgent (priorities : float array) mask i best =
+  if mask = 0 then best
+  else
+    let best =
+      if mask land 1 <> 0 && (best < 0 || priorities.(i) < priorities.(best))
+      then i
+      else best
+    in
+    most_urgent priorities (mask lsr 1) (i + 1) best
 
 let start t ~expected_steps =
   match t with
@@ -73,50 +104,36 @@ let start t ~expected_steps =
             Lfrc_util.Rng.int rng (max expected_steps 1))
       in
       Array.sort compare change_steps;
-      Pct_state { rng; priorities; change_steps }
+      Pct_state { rng; priorities; change_steps; next_change = 0 }
   | Scripted { prefix; tail_seed } ->
       Scripted_state
         { prefix; tail = Option.map Lfrc_util.Rng.create tail_seed }
   | Handicap { seed; victim; period } ->
       Handicap_state { rng = Lfrc_util.Rng.create seed; victim; period }
 
-let first_enabled enabled =
-  let rec go i =
-    if enabled land (1 lsl i) <> 0 then i
-    else if i >= max_threads then invalid_arg "Strategy: empty enabled set"
-    else go (i + 1)
-  in
-  go 0
-
 let choose st ~step ~enabled ~last =
   match st with
-  | Rr_state ->
-      (* Next enabled thread after [last], wrapping. *)
-      let rec go i =
-        let i = if i > max_threads then 0 else i in
-        if enabled land (1 lsl i) <> 0 then i else go (i + 1)
-      in
-      go (last + 1)
-  | Random_state rng ->
-      let ids = bits_of enabled in
-      List.nth ids (Lfrc_util.Rng.int rng (List.length ids))
-  | Pct_state { rng; priorities; change_steps } ->
+  | Rr_state -> next_enabled enabled (last + 1)
+  | Random_state rng -> pick_bit rng enabled
+  | Pct_state p ->
+      (* Steps only grow, so a cursor over the sorted [change_steps] finds
+         this step's change points; a step drawn twice still demotes
+         once. *)
+      let at_change = ref false in
+      while
+        p.next_change < Array.length p.change_steps
+        && p.change_steps.(p.next_change) <= step
+      do
+        if p.change_steps.(p.next_change) = step then at_change := true;
+        p.next_change <- p.next_change + 1
+      done;
       (* At a change point, demote the currently highest-priority enabled
          thread to the back of the priority order. *)
-      if Array.exists (fun s -> s = step) change_steps then begin
-        let ids = bits_of enabled in
-        let best =
-          List.fold_left
-            (fun acc i ->
-              if priorities.(i) < priorities.(acc) then i else acc)
-            (List.hd ids) ids
-        in
-        priorities.(best) <- 1.0 +. Lfrc_util.Rng.float rng
+      if !at_change then begin
+        let best = most_urgent p.priorities enabled 0 (-1) in
+        p.priorities.(best) <- 1.0 +. Lfrc_util.Rng.float p.rng
       end;
-      let ids = bits_of enabled in
-      List.fold_left
-        (fun acc i -> if priorities.(i) < priorities.(acc) then i else acc)
-        (List.hd ids) ids
+      most_urgent p.priorities enabled 0 (-1)
   | Handicap_state { rng; victim; period } ->
       (* Duty-cycle stall: the victim runs normally for [period] steps,
          then freezes for [period] steps, repeatedly — so it can be
@@ -128,8 +145,7 @@ let choose st ~step ~enabled ~last =
           enabled land lnot (1 lsl victim)
         else enabled
       in
-      let ids = bits_of eligible in
-      List.nth ids (Lfrc_util.Rng.int rng (List.length ids))
+      pick_bit rng eligible
   | Scripted_state { prefix; tail } ->
       if step < Array.length prefix then begin
         let wanted = prefix.(step) in
@@ -139,8 +155,6 @@ let choose st ~step ~enabled ~last =
       end
       else begin
         match tail with
-        | None -> first_enabled enabled
-        | Some rng ->
-            let ids = bits_of enabled in
-            List.nth ids (Lfrc_util.Rng.int rng (List.length ids))
+        | None -> first_enabled_from enabled 0
+        | Some rng -> pick_bit rng enabled
       end

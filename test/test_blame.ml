@@ -266,21 +266,25 @@ let test_compare_new_histogram_report_only () =
      go 0)
 
 let test_compare_histogram_n_drift_gates () =
-  (* A matched histogram whose observation count moved >= 5% is behavior
-     drift (the count is deterministic) and must gate. *)
-  let current =
+  (* A matched histogram whose observation count moved at all is
+     behavior drift (the count is deterministic) and must gate. *)
+  let with_n n =
     doc
-      {|{"workloads":[
-          {"structure":"treiber","ops_per_sec":1000.0,
-           "metrics":{"counters":{"dcas.cas_attempts":100},
-                      "histograms":{"op.latency":{"n":70,"mean":1.0,"p99":3.0}}}}]}|}
+      (Printf.sprintf
+         {|{"workloads":[
+             {"structure":"treiber","ops_per_sec":1000.0,
+              "metrics":{"counters":{"dcas.cas_attempts":100},
+                         "histograms":{"op.latency":{"n":%d,"mean":1.0,"p99":3.0}}}}]}|}
+         n)
   in
-  let v = Bc.diff ~threshold:30.0 ~current ~baseline:baseline_doc in
+  let v = Bc.diff ~threshold:30.0 ~current:(with_n 70) ~baseline:baseline_doc in
   checkb "gates" false (Bc.ok v);
   checki "one histogram drift" 1 (List.length v.Bc.hist_drift);
   let d = List.hd v.Bc.hist_drift in
   checks "key" "op.latency" d.Bc.key;
-  checkb "pct is +40%" true (Float.abs (d.Bc.pct -. 40.0) < 0.01)
+  checkb "pct is +40%" true (Float.abs (d.Bc.pct -. 40.0) < 0.01);
+  let v1 = Bc.diff ~threshold:30.0 ~current:(with_n 51) ~baseline:baseline_doc in
+  checki "one extra observation (+2%) gates" 1 (List.length v1.Bc.hist_drift)
 
 let test_compare_counter_and_ops_policy () =
   let current =
@@ -312,7 +316,8 @@ let test_compare_counter_and_ops_policy () =
      go 0)
 
 (* [--report-only] forgives a wall-clock regression and nothing else:
-   counter and histogram-n drift are deterministic, so they still fail. *)
+   counter and histogram-n drift are deterministic, so they still fail,
+   down to a single count. *)
 let test_compare_report_only_forgives_only_ops () =
   let run ~ops ~cas ~n =
     doc
@@ -333,6 +338,8 @@ let test_compare_report_only_forgives_only_ops () =
   let drift = run ~ops:1000.0 ~cas:120 ~n:50 in
   checkb "counter drift fails in report-only" false
     (passes ~report_only:true drift);
+  checkb "a one-count (1%) counter drift fails" false
+    (passes ~report_only:true (run ~ops:1000.0 ~cas:101 ~n:50));
   let hist = run ~ops:1000.0 ~cas:100 ~n:70 in
   checkb "histogram-n drift fails in report-only" false
     (passes ~report_only:true hist);
@@ -395,7 +402,12 @@ let test_compare_vanished_counter_is_zero () =
            "metrics":{"counters":{"dcas.cas_attempts":100,"lfrc.rc_retry":0}}}]}|}
   in
   let v0 = Bc.diff ~threshold:30.0 ~current ~baseline:both_zero in
-  checkb "zero baseline never gates" true (Bc.ok v0)
+  checkb "zero baseline never gates" true (Bc.ok v0);
+  (* A matched counter leaving an explicit 0 is a change like any other. *)
+  let v1 = Bc.diff ~threshold:30.0 ~current:baseline ~baseline:both_zero in
+  checkb "counter leaving a zero baseline gates" false (Bc.ok v1);
+  checkb "its pct is unbounded" true
+    ((List.hd v1.Bc.counter_drift).Bc.pct = Float.infinity)
 
 (* --- tracer metadata: saved traces are self-describing --- *)
 

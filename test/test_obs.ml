@@ -37,6 +37,28 @@ let test_counter_exact () =
   checki "b.y" 1 (Metrics.counter_value s "b.y");
   checki "absent" 0 (Metrics.counter_value s "c.z")
 
+(* Counting an event on an existing series is a hot-path call: it must
+   allocate nothing. The empty measurement prices [Gc.minor_words]'s own
+   boxed result. *)
+let test_incr_allocates_nothing () =
+  let m = Metrics.create () in
+  Metrics.incr m "a.x";
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let empty = words ignore in
+  let incrs =
+    words (fun () ->
+        for _ = 1 to 10_000 do
+          Metrics.incr m "a.x"
+        done)
+  in
+  close 0. empty incrs;
+  checki "all counted" 10_001
+    (Metrics.counter_value (Metrics.snapshot m) "a.x")
+
 let test_gauge_high_water () =
   let m = Metrics.create () in
   Metrics.set_gauge m "g" 5;
@@ -322,6 +344,8 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "counter exact" `Quick test_counter_exact;
+          Alcotest.test_case "incr allocates nothing" `Quick
+            test_incr_allocates_nothing;
           Alcotest.test_case "gauge high-water" `Quick test_gauge_high_water;
           Alcotest.test_case "disabled" `Quick test_disabled_records_nothing;
           Alcotest.test_case "merge" `Quick test_merge;

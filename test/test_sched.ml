@@ -247,6 +247,76 @@ let test_pct_runs () =
   in
   checkb "pct completes" true (o.Sched.steps > 0)
 
+(* A fixed 4-thread run whose recorded schedule pins what each seeded
+   strategy picks at every step. The threads yield 5, 7, 9 and 11 times,
+   so the enabled set shrinks as they finish; [max_steps] bounds the PCT
+   change points to the run's 37 steps (seed 3 draws 2, 3, 11, 14, 14,
+   16, 25, 36, step 14 twice). *)
+let golden_schedule strategy =
+  let body () =
+    for i = 1 to 4 do
+      ignore
+        (Sched.spawn (fun () ->
+             for _ = 1 to 3 + (2 * i) do
+               Sched.point ()
+             done))
+    done
+  in
+  let o = Sched.run ~max_steps:40 ~record:true strategy body in
+  let chosen = Trace.chosen (Option.get o.Sched.trace) in
+  String.concat "" (Array.to_list (Array.map string_of_int chosen))
+
+let test_golden_schedules () =
+  List.iter
+    (fun (strategy, digest) ->
+      let schedule = golden_schedule strategy in
+      checki (Strategy.describe strategy ^ " steps") 37 (String.length schedule);
+      Alcotest.(check string)
+        (Strategy.describe strategy ^ " " ^ schedule)
+        digest
+        (Digest.to_hex (Digest.string schedule)))
+    [
+      (Strategy.Random 7, "800250cbf0f4d55f9decaedc52ad94b6");
+      (Strategy.Pct { seed = 3; change_points = 8 },
+       "374618642eb6fdf76881f200a7395421");
+      (Strategy.Handicap { seed = 7; victim = 2; period = 3 },
+       "a7d73144c4f085a9fc61b4aa7d122ed5");
+      (Strategy.Scripted { prefix = [| 0; 1; 2; 3; 4; 1 |]; tail_seed = Some 7 },
+       "b60fb48a540864c49b34012a285949b6");
+    ]
+
+(* Minor words one scheduler step allocates: a bare 4-thread yield loop,
+   long enough that starting the run and its threads is noise. What is
+   left is the continuation [Effect.perform] builds and the [Suspended]
+   cell that parks it. *)
+let words_per_step strategy =
+  let body () =
+    for _ = 1 to 4 do
+      ignore
+        (Sched.spawn (fun () ->
+             for _ = 1 to 10_000 do
+               Sched.point ()
+             done))
+    done
+  in
+  let before = Gc.minor_words () in
+  let o = Sched.run strategy body in
+  (Gc.minor_words () -. before) /. Float.of_int o.Sched.steps
+
+let test_step_allocation_budget () =
+  List.iter
+    (fun strategy ->
+      let words = words_per_step strategy in
+      checkb
+        (Printf.sprintf "%s: %.1f words/step <= 8" (Strategy.describe strategy)
+           words)
+        true (words <= 8.))
+    [
+      Strategy.Random 1;
+      Strategy.Pct { seed = 1; change_points = 3 };
+      Strategy.Round_robin;
+    ]
+
 (* --- Explore --- *)
 
 let test_explore_finds_race () =
@@ -337,6 +407,8 @@ let () =
           Alcotest.test_case "join waits" `Quick test_join_waits;
           Alcotest.test_case "join many" `Quick test_join_many;
           Alcotest.test_case "per-thread steps" `Quick test_per_thread_steps;
+          Alcotest.test_case "step allocation budget" `Quick
+            test_step_allocation_budget;
         ] );
       ( "trace",
         [
@@ -348,6 +420,7 @@ let () =
           Alcotest.test_case "scripted replay" `Quick test_scripted_replay;
           Alcotest.test_case "script divergence" `Quick test_scripted_divergence_detected;
           Alcotest.test_case "pct runs" `Quick test_pct_runs;
+          Alcotest.test_case "golden schedules" `Quick test_golden_schedules;
         ] );
       ( "explore",
         [

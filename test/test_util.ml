@@ -91,6 +91,34 @@ let test_rng_pick_member () =
     checkb "member" true (Array.exists (( = ) (Rng.pick r arr)) arr)
   done
 
+(* The splitmix64 stream is part of every replay token: these first
+   values for seed 2026 pin it bit for bit. The large bound makes [int]
+   reject about half its draws, so its retry loop is pinned too. *)
+let test_rng_golden () =
+  let r = Rng.create 2026 in
+  let draws n f = List.init n (fun _ -> f ()) in
+  let ints = Alcotest.(list int) in
+  check ints "next"
+    [ 3347707599428817566; 554938614540728688; 2965197730926719999;
+      267343384039378801 ]
+    (draws 4 (fun () -> Rng.next r));
+  check ints "int 1000" [ 348; 659; 741; 583 ]
+    (draws 4 (fun () -> Rng.int r 1000));
+  check ints "int (max_int / 2 + 1)"
+    [ 2188226182522273847; 2085257427822542875; 942667738245931434;
+      1856965183068596384 ]
+    (draws 4 (fun () -> Rng.int r ((max_int / 2) + 1)));
+  check
+    Alcotest.(list (float 0.))
+    "float"
+    [ 0x1.f32acc31c1f56p-7; 0x1.a8c1dad0dcdabp-1; 0x1.6e837f978a32cp-1 ]
+    (draws 3 (fun () -> Rng.float r));
+  let child = Rng.split r in
+  check ints "split child" [ 2355207029552895973; 1695911991116573178 ]
+    (draws 2 (fun () -> Rng.next child));
+  check ints "parent after split" [ 3434364963444790001; 2643381826399722657 ]
+    (draws 2 (fun () -> Rng.next r))
+
 (* --- Stats --- *)
 
 let test_mean () =
@@ -165,6 +193,7 @@ let () =
           Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "pick member" `Quick test_rng_pick_member;
+          Alcotest.test_case "golden stream" `Quick test_rng_golden;
         ] );
       ( "stats",
         [
